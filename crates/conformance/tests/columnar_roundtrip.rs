@@ -2,14 +2,20 @@
 //! op streams in three address shapes — graph-shaped (the conformance
 //! trace fuzzer), uniform random, and grid strides — must round-trip
 //! encode → decode bit-exactly, and damaged artifacts must come back as
-//! typed errors, never panics or silently wrong ops.
+//! typed errors, never panics or silently wrong ops. A round trip alone
+//! would still pass a format drift, so the encoded bytes of two GAP traces
+//! and one fixed fuzzed stream are pinned by digest as well.
 //!
-//! Set `DROPLET_TEST_SEED` to explore fresh streams or replay a failure.
+//! Set `DROPLET_TEST_SEED` to explore fresh streams or replay a failure
+//! (the pinned streams use fixed seeds and ignore it).
 
 use conformance::fuzz::TraceGen;
+use droplet_gap::Algorithm;
+use droplet_graph::{Dataset, DatasetScale};
 use droplet_trace::columnar::{content_digest, decode, encode, BLOCK_OPS};
 use droplet_trace::{AccessKind, ColumnarReader, DataType, MemOp, OpId, VirtAddr};
 use proptest::TestRng;
+use std::sync::Arc;
 
 /// Wraps a raw address stream into full `MemOp`s with fuzzed kinds,
 /// producer links, and pre-compute counts — every column the codec stores.
@@ -153,5 +159,51 @@ fn corrupted_fuzzed_artifacts_never_yield_wrong_ops() {
                 "corruption at byte {pos} (flip {flip:#04x}) decoded to different ops"
             ),
         }
+    }
+}
+
+/// 64-bit FNV-1a over an artifact's bytes.
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The DRPLCOL1 bytes themselves are the contract: the same ops must
+/// encode to the same artifact, so an encoder rewrite cannot drift the
+/// format while still round-tripping. Pins a Tiny PR trace, a Tiny SSSP
+/// trace (weighted graph) and a fixed-seed fuzzed stream spanning four
+/// blocks. Re-capture from the printed table only for a deliberate format
+/// change, which also needs a [`droplet_trace::columnar::FORMAT_VERSION`]
+/// bump.
+#[test]
+fn encoded_artifact_bytes_are_pinned() {
+    let g = Arc::new(Dataset::Kron.build(DatasetScale::Tiny));
+    let gw = Arc::new(Dataset::Kron.build_weighted(DatasetScale::Tiny));
+    let pr = Algorithm::Pr.trace(&g, 120_000).ops;
+    let sssp = Algorithm::Sssp.trace(&gw, 120_000).ops;
+    let fuzzed = graph_trace(&mut TestRng::from_seed(0x00c0_1a2b), 3 * BLOCK_OPS + 1234);
+    let rows = [
+        ("pr-kron-tiny", bytes_digest(&encode(&pr))),
+        ("sssp-kron-tiny", bytes_digest(&encode(&sssp))),
+        ("fuzzed-4-blocks", bytes_digest(&encode(&fuzzed))),
+    ];
+    const GOLDEN: [(&str, u64); 3] = [
+        ("pr-kron-tiny", 0xdf44fb7642ef6d93),
+        ("sssp-kron-tiny", 0x43cce1a787e895af),
+        ("fuzzed-4-blocks", 0xcb0ea421d1b640b4),
+    ];
+    let table = rows
+        .iter()
+        .map(|(n, a)| format!("        (\"{n}\", {a:#018x}),"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_eq!(rows.len(), GOLDEN.len());
+    for ((name, actual), (gname, want)) in rows.iter().zip(GOLDEN) {
+        assert_eq!(*name, gname);
+        assert_eq!(
+            *actual, want,
+            "{name}: artifact digest {actual:#018x}, golden {want:#018x}; actuals:\n{table}"
+        );
     }
 }
