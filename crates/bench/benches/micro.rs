@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the simulation substrate: cache access
-//! throughput, PAG cacheline scanning, reuse-distance profiling, trace
-//! generation, and a whole-system op-replay rate. These gate the wall-clock
-//! budget of the figure benches.
+//! throughput, PAG cacheline scanning, reuse-distance profiling, graph and
+//! trace generation, and a whole-system op-replay rate. These gate the
+//! wall-clock budget of the figure benches.
 
 use criterion::{Criterion, Throughput};
 use droplet::cache::{CacheConfig, FillInfo, ReuseProfiler, SetAssocCache};
@@ -54,6 +54,19 @@ fn bench_pag_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("mpp");
     group.bench_function("pag_line_scan", |b| {
         b.iter(|| bundle.funcmem.neighbor_ids_in_line(base_line).len());
+    });
+    group.finish();
+}
+
+/// The Tiny kron graph, once per `CsrBuilder` dedup path: the unweighted
+/// build sorts edge pairs in place, the weighted one sorts an index array.
+fn bench_graph_generation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("graph");
+    group.bench_function("kron_tiny", |b| {
+        b.iter(|| Dataset::Kron.build(DatasetScale::Tiny).num_edges());
+    });
+    group.bench_function("kron_tiny_weighted", |b| {
+        b.iter(|| Dataset::Kron.build_weighted(DatasetScale::Tiny).num_edges());
     });
     group.finish();
 }
@@ -203,6 +216,7 @@ fn main() {
     bench_cache(&mut c);
     bench_reuse_profiler(&mut c);
     bench_pag_scan(&mut c);
+    bench_graph_generation(&mut c);
     bench_trace_generation(&mut c);
     bench_columnar_roundtrip(&mut c);
     bench_prefetcher_hot_paths(&mut c);

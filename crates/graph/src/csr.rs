@@ -204,7 +204,14 @@ impl CsrBuilder {
     }
 
     /// Requests removal of duplicate (u, v) pairs and self-loops at build
-    /// time (keeping the first weight seen for a duplicate).
+    /// time.
+    ///
+    /// For weighted edges, the weight kept for a duplicate pair is *not*
+    /// the first one pushed: `build` orders edge indices with the standard
+    /// library's `sort_unstable_by_key` on `(u, v)`, and the duplicate that
+    /// sort leaves first wins. A toolchain whose unstable sort orders equal
+    /// keys differently changes weighted graphs (and SSSP results with
+    /// them); the weighted rows of `tests/generator_goldens.rs` catch that.
     pub fn dedup(mut self) -> Self {
         self.dedup = true;
         self
@@ -220,25 +227,37 @@ impl CsrBuilder {
             dedup,
         } = self;
         if dedup {
-            // Sort by (u, v) carrying weights along, then retain uniques.
-            let mut idx: Vec<u32> = (0..edges.len() as u32).collect();
-            idx.sort_unstable_by_key(|&i| edges[i as usize]);
-            let mut new_edges = Vec::with_capacity(edges.len());
-            let mut new_weights = weights.as_ref().map(|_| Vec::with_capacity(edges.len()));
-            let mut last: Option<(u32, u32)> = None;
-            for &i in &idx {
-                let e = edges[i as usize];
-                if e.0 == e.1 || last == Some(e) {
-                    continue;
+            match weights.as_mut() {
+                // Equal pairs are interchangeable, so sorting the pairs in
+                // place gives the same edge list as any index sort would,
+                // without a random `edges[i]` load per comparison.
+                None => {
+                    edges.sort_unstable_by_key(|&(u, v)| (u64::from(u) << 32) | u64::from(v));
+                    edges.dedup();
+                    edges.retain(|&(u, v)| u != v);
                 }
-                last = Some(e);
-                new_edges.push(e);
-                if let (Some(nw), Some(w)) = (new_weights.as_mut(), weights.as_ref()) {
-                    nw.push(w[i as usize]);
+                // Sort indices by (u, v) carrying weights along, then retain
+                // uniques. This exact sort call decides which duplicate's
+                // weight survives (see [`CsrBuilder::dedup`]).
+                Some(w) => {
+                    let mut idx: Vec<u32> = (0..edges.len() as u32).collect();
+                    idx.sort_unstable_by_key(|&i| edges[i as usize]);
+                    let mut new_edges = Vec::with_capacity(edges.len());
+                    let mut new_weights = Vec::with_capacity(edges.len());
+                    let mut last: Option<(u32, u32)> = None;
+                    for &i in &idx {
+                        let e = edges[i as usize];
+                        if e.0 == e.1 || last == Some(e) {
+                            continue;
+                        }
+                        last = Some(e);
+                        new_edges.push(e);
+                        new_weights.push(w[i as usize]);
+                    }
+                    edges = new_edges;
+                    *w = new_weights;
                 }
             }
-            edges = new_edges;
-            weights = new_weights;
         }
         let mut counts = vec![0u64; n + 1];
         for &(u, _) in &edges {

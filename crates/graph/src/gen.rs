@@ -84,22 +84,21 @@ fn rmat_with(scale: u32, edge_factor: u64, p: RmatParams, seed: u64, weighted: b
     let m = edge_factor * u64::from(n);
     let mut rng = SimRng::seed_from_u64(seed ^ 0x524d_4154);
     let mut b = CsrBuilder::with_capacity(n, m as usize);
+    // Quadrants (0,0), (0,1), (1,0), (1,1) own [0, a), [a, ab), [ab, abc)
+    // and [abc, 1). The thresholds sum left to right, `(a + b) + c`: another
+    // order can round a threshold differently and so change every graph.
+    let (a, ab) = (p.a, p.a + p.b);
+    let abc = ab + p.c;
+    debug_assert!(a <= ab && ab <= abc, "quadrant probabilities must be >= 0");
     for _ in 0..m {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
             let r = rng.next_f64();
-            if r < p.a {
-                // (0, 0): nothing to add.
-            } else if r < p.a + p.b {
-                v |= 1;
-            } else if r < p.a + p.b + p.c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            // Branch-free: u's bit is set past `ab`; v's bit flips at each
+            // threshold crossed, which sets it in (0,1) and (1,1) only.
+            let (ge_a, ge_ab, ge_abc) = (r >= a, r >= ab, r >= abc);
+            u = (u << 1) | u32::from(ge_ab);
+            v = (v << 1) | u32::from(ge_a ^ ge_ab ^ ge_abc);
         }
         if weighted {
             b.push_weighted_edge(u, v, rng.between(1, 255));

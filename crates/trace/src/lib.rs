@@ -33,7 +33,7 @@ pub mod tlb;
 pub mod tracer;
 
 pub use addr::{PhysAddr, VirtAddr, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
-pub use columnar::{ColumnarError, ColumnarReader, DecodeScratch};
+pub use columnar::{ColumnarError, ColumnarReader};
 pub use funcmem::FunctionalMemory;
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use layout::{AddressSpace, ArrayRegion, Region, RegionId};

@@ -12,7 +12,7 @@
 //!   stream (typically an `mmap`ed file, see [`crate::mmap::MappedFile`]),
 //!   holding exactly one decoded block at a time.
 
-use crate::columnar::{decode_block_at, ColumnarError, ColumnarReader, DecodeScratch, BLOCK_OPS};
+use crate::columnar::{block_len, decode_block_at, ColumnarError, ColumnarReader, BLOCK_OPS};
 use crate::mmap::MappedFile;
 use crate::op::MemOp;
 use std::path::Path;
@@ -76,8 +76,6 @@ pub struct ColumnarSource<B: AsRef<[u8]>> {
     /// Block directory copied out of the validated header, so per-block
     /// decodes skip re-parsing (and re-allocating) the directory.
     block_offsets: Vec<u64>,
-    /// Reused column staging across block decodes.
-    scratch: DecodeScratch,
     /// Decoded ops of `cur_block` (`usize::MAX` = nothing decoded yet).
     buf: Vec<MemOp>,
     cur_block: usize,
@@ -94,7 +92,6 @@ impl<B: AsRef<[u8]>> ColumnarSource<B> {
             op_count,
             digest,
             block_offsets,
-            scratch: DecodeScratch::default(),
             buf: Vec::new(),
             cur_block: usize::MAX,
         })
@@ -113,20 +110,15 @@ impl<B: AsRef<[u8]>> ColumnarSource<B> {
 
     /// Decodes the block holding `pos`, propagating typed errors. The
     /// header was validated in `new` and its directory cached, so this
-    /// touches only the block's own bytes and reuses the scratch staging.
+    /// touches only the block's own bytes.
     fn load_block(&mut self, block: usize) -> Result<(), ColumnarError> {
         let Some(&off) = self.block_offsets.get(block) else {
             return Err(ColumnarError::Corrupt("block index out of range"));
         };
-        let start = block as u64 * BLOCK_OPS as u64;
-        let expected = (self.op_count - start).min(BLOCK_OPS as u64) as usize;
-        decode_block_at(
-            self.bytes.as_ref(),
-            off,
-            expected,
-            &mut self.buf,
-            &mut self.scratch,
-        )?;
+        self.buf.clear();
+        self.cur_block = usize::MAX;
+        let expected = block_len(self.op_count, block);
+        decode_block_at(self.bytes.as_ref(), off, expected, &mut self.buf)?;
         self.cur_block = block;
         Ok(())
     }
@@ -158,9 +150,10 @@ impl<B: AsRef<[u8]>> TraceSource for ColumnarSource<B> {
     }
 }
 
-/// Opens `path` as a mapped columnar trace source.
+/// Opens `path` as a mapped columnar trace source. A file that cannot be
+/// read at all fails with [`ColumnarError::Io`].
 pub fn open_columnar(path: &Path) -> Result<ColumnarSource<MappedFile>, ColumnarError> {
-    let mapped = MappedFile::open(path).map_err(|_| ColumnarError::Truncated("file unreadable"))?;
+    let mapped = MappedFile::open(path).map_err(|e| ColumnarError::Io(e.kind()))?;
     ColumnarSource::new(mapped)
 }
 
@@ -234,6 +227,18 @@ mod tests {
         // And back into the first.
         let run = src.fetch(3, 4);
         assert_eq!(run, &o[3..7]);
+    }
+
+    #[test]
+    fn missing_artifact_is_an_io_error() {
+        let path = std::env::temp_dir().join(format!(
+            "droplet-missing-{}/no-such-trace.dcol",
+            std::process::id()
+        ));
+        assert_eq!(
+            open_columnar(&path).err(),
+            Some(ColumnarError::Io(std::io::ErrorKind::NotFound))
+        );
     }
 
     #[test]
