@@ -23,7 +23,9 @@
 //! is kept as a skeleton — it is small and cannot be rebuilt from the op
 //! stream. A later request decodes the artifact back (the codec verifies
 //! its content digest) and re-residents the bundle, so spilling never
-//! changes results, only memory and reload latency.
+//! changes results, only memory and reload latency. An artifact that no
+//! longer reads back (deleted, truncated, rotted) is removed and the
+//! bundle rebuilt from its builder, as after a drop-only eviction.
 //!
 //! [`TraceCache::with_byte_budget_drop_only`] bounds memory without a
 //! spill directory: evicted bundles are dropped outright and rebuilt from
@@ -45,7 +47,7 @@ use droplet_obs::fnv1a;
 use droplet_trace::columnar;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the data from a poisoned mutex. Safe here because
@@ -122,6 +124,17 @@ fn artifact_name(key: &Key) -> String {
     )
 }
 
+/// A spilled bundle with its ops decoded back from the artifact at `path`;
+/// `None` when the artifact is unreadable or fails to decode.
+fn reload(skeleton: &TraceBundle, path: &Path) -> Option<TraceBundle> {
+    let bytes = droplet_trace::MappedFile::open(path).ok()?;
+    let ops = columnar::decode(&bytes).ok()?;
+    Some(TraceBundle {
+        ops,
+        ..skeleton.clone()
+    })
+}
+
 fn ops_bytes(bundle: &TraceBundle) -> u64 {
     (bundle.ops.len() * std::mem::size_of::<droplet_trace::MemOp>()) as u64
 }
@@ -190,15 +203,13 @@ impl TraceCache {
         let bundle = match &*slot {
             Slot::Resident(b) => Arc::clone(b),
             Slot::Spilled { skeleton, path } => {
-                let bytes = droplet_trace::MappedFile::open(path)
-                    .unwrap_or_else(|e| panic!("spilled trace {} unreadable: {e}", path.display()));
                 // `decode` re-verifies the artifact's content digest, so a
-                // rotted spill file fails loudly instead of replaying wrong.
-                let ops = columnar::decode(&bytes)
-                    .unwrap_or_else(|e| panic!("spilled trace {} corrupt: {e}", path.display()));
-                let mut b = (**skeleton).clone();
-                b.ops = ops;
-                let b = Arc::new(b);
+                // rotted or vanished spill file is rebuilt (and removed)
+                // instead of replaying wrong or failing every later request.
+                let b = Arc::new(reload(skeleton, path).unwrap_or_else(|| {
+                    let _ = std::fs::remove_file(path);
+                    build()
+                }));
                 *slot = Slot::Resident(Arc::clone(&b));
                 b
             }
@@ -451,6 +462,35 @@ mod tests {
         assert_eq!(a.property_base, a2.property_base);
         // Reloading a pushed the other entry out in turn.
         assert_eq!(cache.spilled_len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_spill_artifact_is_rebuilt_not_fatal() {
+        let dir = temp_spill_dir("rot");
+        let cache = TraceCache::with_byte_budget(1, &dir);
+        let _ = cache.get_or_build(spec(), 30_000);
+        let _ = cache.get_or_build(spec2(), 30_000);
+        assert_eq!(cache.spilled_len(), 1);
+        let artifact = dir.join(artifact_name(&(spec(), 30_000)));
+        let len = std::fs::metadata(&artifact).unwrap().len();
+        std::fs::File::options()
+            .write(true)
+            .open(&artifact)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+
+        let a = cache.get_or_build(spec(), 30_000);
+        let fresh = spec().build_trace_with_budget(30_000);
+        assert_eq!(a.ops, fresh.ops);
+        assert_eq!(a.instructions, fresh.instructions);
+        assert_eq!(a.digest, fresh.digest);
+        assert!(!artifact.exists(), "the bad artifact is removed");
+        // The rebuilt bundle spills and reloads like any other.
+        let _ = cache.get_or_build(spec2(), 30_000);
+        let again = cache.get_or_build(spec(), 30_000);
+        assert_eq!(again.ops, fresh.ops);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! The columnar on-disk trace format (`DRPLCOL1`).
 //!
 //! Perf-scale traces hold millions of [`MemOp`]s; storing them row-wise
-//! (24 B/op) wastes both disk and — worse — decode bandwidth, because every
+//! (12 B/op) wastes both disk and — worse — decode bandwidth, because every
 //! field of every op is touched even when a consumer only streams blocks.
 //! This module stores each field as its own column, compressed with the
 //! cheapest transform that fits its distribution:
@@ -472,8 +472,9 @@ pub(crate) fn decode_block_at(
         } else {
             prev.wrapping_add(unzigzag(v))
         };
-        if a < 0 {
-            return Err(ColumnarError::Corrupt("address delta below zero"));
+        // A delta below zero wraps to at least 2^63, past the limit too.
+        if a as u64 >= MemOp::ADDR_LIMIT {
+            return Err(ColumnarError::Corrupt("address outside the 44-bit range"));
         }
         prev = a;
         if kinds_left == 0 {
@@ -580,7 +581,9 @@ mod tests {
             })
             .collect();
         let bytes = encode(&ops);
-        let raw = ops.len() * std::mem::size_of::<MemOp>();
+        // A fixed 16 B/op row, so the bound does not move with `MemOp`'s
+        // in-memory layout.
+        let raw = ops.len() * 16;
         assert!(
             bytes.len() * 3 < raw,
             "sequential trace should compress >3x: {} vs {raw}",
@@ -667,6 +670,33 @@ mod tests {
         let forged = ColumnarError::Corrupt("op count exceeds file length");
         assert_eq!(ColumnarReader::new(&bytes).err(), Some(forged.clone()));
         assert_eq!(decode(&bytes).unwrap_err(), forged);
+    }
+
+    /// A forged delta that carries the address past 2^44 is a typed error,
+    /// not a panic in `MemOp`'s packing.
+    #[test]
+    fn address_past_the_limit_is_corrupt() {
+        let top = MemOp::ADDR_LIMIT - 1;
+        let op = |i: u64, a: u64| {
+            MemOp::new(
+                VirtAddr::new(a),
+                AccessKind::Load,
+                DataType::Property,
+                None,
+                OpId(i),
+                0,
+            )
+        };
+        let mut bytes = encode(&[op(0, top), op(1, top - 1)]);
+        // The first block's address section: a 7-byte absolute varint, then
+        // the one-byte zig-zag delta -1 (0x01); +1 zig-zags to 0x02.
+        let addr_col = HEADER_BYTES + 8 + 4 + 5 * 4;
+        assert_eq!(bytes[addr_col + 7], zigzag(-1) as u8);
+        bytes[addr_col + 7] = zigzag(1) as u8;
+        assert_eq!(
+            decode(&bytes).unwrap_err(),
+            ColumnarError::Corrupt("address outside the 44-bit range")
+        );
     }
 
     #[test]

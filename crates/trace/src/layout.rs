@@ -8,7 +8,7 @@
 //! lets the MPP know the property array's base address and element size.
 
 use crate::addr::{VirtAddr, PAGE_BYTES};
-use crate::op::DataType;
+use crate::op::{DataType, MemOp};
 
 /// Identifier of a region within an [`AddressSpace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,8 +159,20 @@ impl AddressSpace {
     /// This is the simulation analogue of the paper's specialized `malloc`:
     /// allocating with [`DataType::Structure`] is what sets the extra bit in
     /// the page-table entries of the returned range.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the region, if its pages would end at or past
+    /// [`MemOp::ADDR_LIMIT`], the bound every traced address must stay under.
     pub fn alloc(&mut self, name: &str, dtype: DataType, bytes: u64) -> Region {
-        let footprint = bytes.max(1).div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        let end = bytes
+            .max(1)
+            .checked_next_multiple_of(PAGE_BYTES)
+            .and_then(|footprint| self.next_base.checked_add(footprint))
+            .filter(|&end| end < MemOp::ADDR_LIMIT)
+            .unwrap_or_else(|| {
+                panic!("region {name:?} ({bytes} bytes) would reach the 44-bit address limit")
+            });
         let region = Region {
             id: RegionId(self.regions.len()),
             name: name.to_string(),
@@ -169,7 +181,7 @@ impl AddressSpace {
             bytes,
         };
         // One guard page between regions keeps page-granular tags unambiguous.
-        self.next_base += footprint + PAGE_BYTES;
+        self.next_base = end + PAGE_BYTES;
         self.regions.push(region.clone());
         region
     }
@@ -182,7 +194,10 @@ impl AddressSpace {
         elem_bytes: u64,
         len: u64,
     ) -> ArrayRegion {
-        let region = self.alloc(name, dtype, elem_bytes * len.max(1));
+        let bytes = elem_bytes.checked_mul(len.max(1)).unwrap_or_else(|| {
+            panic!("region {name:?} ({len} x {elem_bytes} bytes) overflows u64")
+        });
+        let region = self.alloc(name, dtype, bytes);
         ArrayRegion {
             region,
             elem_bytes,
@@ -295,6 +310,36 @@ mod tests {
         let arr = s.alloc_array("empty", DataType::Property, 4, 0);
         assert_eq!(arr.len(), 1); // clamped to one element footprint
         assert!(s.region_of(arr.base()).is_some());
+    }
+
+    #[test]
+    fn region_may_end_just_below_the_address_limit() {
+        let mut s = AddressSpace::new();
+        let bytes = MemOp::ADDR_LIMIT - SPACE_BASE - PAGE_BYTES;
+        let r = s.alloc("huge", DataType::Property, bytes);
+        assert_eq!(r.end().raw(), MemOp::ADDR_LIMIT - PAGE_BYTES);
+    }
+
+    #[test]
+    #[should_panic(expected = "region \"neighbors\"")]
+    fn region_reaching_the_address_limit_panics_with_its_name() {
+        let mut s = AddressSpace::new();
+        let bytes = MemOp::ADDR_LIMIT - SPACE_BASE;
+        s.alloc("neighbors", DataType::Structure, bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "region \"offsets\"")]
+    fn region_size_overflow_panics_instead_of_wrapping() {
+        let mut s = AddressSpace::new();
+        s.alloc("offsets", DataType::Intermediate, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "region \"scores\"")]
+    fn array_size_overflow_panics_instead_of_wrapping() {
+        let mut s = AddressSpace::new();
+        s.alloc_array("scores", DataType::Property, 8, u64::MAX / 4);
     }
 
     #[test]

@@ -98,12 +98,30 @@ impl std::fmt::Display for OpId {
 /// Sentinel meaning "no producer" in the compact encoding.
 const NO_PRODUCER: u32 = u32::MAX;
 
+/// Bits of the packed word holding the virtual address.
+const ADDR_BITS: u32 = 44;
+/// Mask of the address bits (the low [`ADDR_BITS`] of the packed word).
+const ADDR_MASK: u64 = (1 << ADDR_BITS) - 1;
+/// The store bit: set for [`AccessKind::Store`].
+const STORE_BIT: u64 = 1 << ADDR_BITS;
+/// Shift of the 2-bit [`DataType::index`] field.
+const DTYPE_SHIFT: u32 = ADDR_BITS + 1;
+/// Shift of the 16-bit pre-compute count: the top of the word, so reading
+/// it back is one shift.
+const PRE_SHIFT: u32 = 48;
+
 /// One memory operation of a traced workload.
 ///
-/// Kept deliberately compact (24 bytes) because perf-scale traces hold
-/// millions of these. The producer link is stored as a backward distance:
-/// `producer_back == 0` means the op has no producer; otherwise the producer
-/// is the op `producer_back` positions earlier in the trace.
+/// Kept deliberately compact (12 bytes, 4-byte aligned) because perf-scale
+/// traces hold millions of these. One `u64` packs the virtual address in
+/// its low 44 bits, the store bit (bit 44), the data type (bits 45–46) and
+/// the pre-compute count (bits 48–63); a `u32` beside it holds the producer
+/// link as a backward distance: the producer is the op `producer_back`
+/// positions earlier in the trace.
+///
+/// Traced addresses must lie below [`MemOp::ADDR_LIMIT`] (2^44). The
+/// address space allocates from 2^32 and refuses a region that would reach
+/// the limit, and the columnar decoder rejects an address at or past it.
 ///
 /// # Example
 ///
@@ -119,19 +137,21 @@ const NO_PRODUCER: u32 = u32::MAX;
 /// );
 /// assert_eq!(op.producer(OpId(9)), Some(OpId(5)));
 /// assert_eq!(op.pre_compute(), 3);
+/// assert_eq!(std::mem::size_of::<MemOp>(), 12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct MemOp {
-    addr: VirtAddr,
+    /// Address, store bit, data type and pre-compute count (see above).
+    word: u64,
     /// Backward distance to the producer op; `NO_PRODUCER` if independent.
     producer_back: u32,
-    /// Number of non-memory instructions executed just before this op.
-    pre_compute: u16,
-    kind: AccessKind,
-    dtype: DataType,
 }
 
 impl MemOp {
+    /// Exclusive upper bound of a traced virtual address: 2^44.
+    pub const ADDR_LIMIT: u64 = 1 << ADDR_BITS;
+
     /// Creates an op at trace position `id` with an optional `producer`
     /// (an earlier op this op's address depends on) and `pre_compute`
     /// non-memory instructions preceding it.
@@ -139,7 +159,8 @@ impl MemOp {
     /// # Panics
     ///
     /// Panics if `producer` is not strictly earlier than `id`, or farther
-    /// than `u32::MAX - 1` ops back.
+    /// than `u32::MAX - 1` ops back, or if `addr` is at or past
+    /// [`MemOp::ADDR_LIMIT`].
     pub fn new(
         addr: VirtAddr,
         kind: AccessKind,
@@ -148,6 +169,10 @@ impl MemOp {
         id: OpId,
         pre_compute: u16,
     ) -> Self {
+        assert!(
+            addr.raw() < Self::ADDR_LIMIT,
+            "address {addr} at or past the 44-bit trace limit"
+        );
         let producer_back = match producer {
             None => NO_PRODUCER,
             Some(p) => {
@@ -157,19 +182,36 @@ impl MemOp {
                 back as u32
             }
         };
+        Self::pack(addr, kind, dtype, producer_back, pre_compute)
+    }
+
+    /// Packs already-validated fields: `addr` below [`MemOp::ADDR_LIMIT`],
+    /// `producer_back` in the in-memory encoding.
+    const fn pack(
+        addr: VirtAddr,
+        kind: AccessKind,
+        dtype: DataType,
+        producer_back: u32,
+        pre_compute: u16,
+    ) -> Self {
+        let store = match kind {
+            AccessKind::Load => 0,
+            AccessKind::Store => STORE_BIT,
+        };
         MemOp {
-            addr,
+            word: addr.raw()
+                | store
+                | (dtype.index() as u64) << DTYPE_SHIFT
+                | (pre_compute as u64) << PRE_SHIFT,
             producer_back,
-            pre_compute,
-            kind,
-            dtype,
         }
     }
 
     /// Reassembles an op from its stored columns (the columnar trace
     /// codec's decode path). `producer_back` is the raw backward distance
     /// with `0` meaning "no producer" — exactly the on-disk encoding, so
-    /// the codec never re-derives absolute producer ids.
+    /// the codec never re-derives absolute producer ids. The caller has
+    /// checked `addr` against [`MemOp::ADDR_LIMIT`].
     pub(crate) const fn from_columns(
         addr: VirtAddr,
         kind: AccessKind,
@@ -177,17 +219,13 @@ impl MemOp {
         producer_back: u32,
         pre_compute: u16,
     ) -> Self {
-        MemOp {
-            addr,
-            producer_back: if producer_back == 0 {
-                NO_PRODUCER
-            } else {
-                producer_back
-            },
-            pre_compute,
-            kind,
-            dtype,
-        }
+        debug_assert!(addr.raw() < Self::ADDR_LIMIT);
+        let producer_back = if producer_back == 0 {
+            NO_PRODUCER
+        } else {
+            producer_back
+        };
+        Self::pack(addr, kind, dtype, producer_back, pre_compute)
     }
 
     /// The raw backward producer distance as stored by the columnar codec:
@@ -202,43 +240,64 @@ impl MemOp {
 
     /// The virtual address accessed.
     pub const fn addr(&self) -> VirtAddr {
-        self.addr
+        VirtAddr::new(self.word & ADDR_MASK)
     }
 
     /// Load or store.
     pub const fn kind(&self) -> AccessKind {
-        self.kind
+        if self.is_load() {
+            AccessKind::Load
+        } else {
+            AccessKind::Store
+        }
     }
 
     /// Returns `true` for loads.
     pub const fn is_load(&self) -> bool {
-        matches!(self.kind, AccessKind::Load)
+        self.word & STORE_BIT == 0
     }
 
     /// The graph data type of the accessed address.
     pub const fn dtype(&self) -> DataType {
-        self.dtype
+        match (self.word >> DTYPE_SHIFT) & 0b11 {
+            0 => DataType::Structure,
+            1 => DataType::Property,
+            _ => DataType::Intermediate,
+        }
     }
 
     /// The producer op this op's *address* depends on, given this op's own
     /// trace position `id`.
     pub fn producer(&self, id: OpId) -> Option<OpId> {
-        if self.producer_back == NO_PRODUCER {
-            None
-        } else {
-            Some(OpId(id.0 - u64::from(self.producer_back)))
-        }
+        self.producer_back()
+            .map(|back| OpId(id.0 - u64::from(back)))
     }
 
     /// Backward distance to the producer, if any.
     pub fn producer_back(&self) -> Option<u32> {
-        (self.producer_back != NO_PRODUCER).then_some(self.producer_back)
+        let back = self.producer_back;
+        (back != NO_PRODUCER).then_some(back)
     }
 
     /// Non-memory instructions executed immediately before this op; used for
     /// instruction counting (MPKI, BPKI, IPC).
     pub const fn pre_compute(&self) -> u16 {
-        self.pre_compute
+        (self.word >> PRE_SHIFT) as u16
+    }
+}
+
+/// Prints the logical fields, not the packed word: `addr`, `producer_back`
+/// (`u32::MAX` when independent), `pre_compute`, `kind` and `dtype`.
+impl std::fmt::Debug for MemOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let producer_back = self.producer_back;
+        f.debug_struct("MemOp")
+            .field("addr", &self.addr())
+            .field("producer_back", &producer_back)
+            .field("pre_compute", &self.pre_compute())
+            .field("kind", &self.kind())
+            .field("dtype", &self.dtype())
+            .finish()
     }
 }
 
@@ -288,7 +347,77 @@ mod tests {
 
     #[test]
     fn op_is_compact() {
-        assert!(std::mem::size_of::<MemOp>() <= 24);
+        assert_eq!(std::mem::size_of::<MemOp>(), 12);
+        assert!(std::mem::align_of::<MemOp>() <= 4);
+    }
+
+    #[test]
+    fn packing_roundtrips_every_field_extreme() {
+        let id = OpId(u64::from(u32::MAX));
+        let mut ops = Vec::new();
+        for addr in [0, MemOp::ADDR_LIMIT - 1] {
+            for kind in [AccessKind::Load, AccessKind::Store] {
+                for dtype in DataType::ALL {
+                    for pre in [0, u16::MAX] {
+                        for back in [None, Some(1), Some(u32::MAX - 1)] {
+                            let producer = back.map(|b| OpId(id.0 - u64::from(b)));
+                            let op =
+                                MemOp::new(VirtAddr::new(addr), kind, dtype, producer, id, pre);
+                            assert_eq!(op.addr().raw(), addr);
+                            assert_eq!(op.kind(), kind);
+                            assert_eq!(op.is_load(), kind == AccessKind::Load);
+                            assert_eq!(op.dtype(), dtype);
+                            assert_eq!(op.pre_compute(), pre);
+                            assert_eq!(op.producer_back(), back);
+                            assert_eq!(op.producer(id), producer);
+                            ops.push((op, (addr, kind, dtype, pre, back)));
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(ops.len(), 2 * 2 * 3 * 2 * 3);
+        for (a, fa) in &ops {
+            for (b, fb) in &ops {
+                assert_eq!(a == b, fa == fb, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "44-bit trace limit")]
+    fn address_past_the_limit_panics() {
+        let _ = MemOp::new(
+            VirtAddr::new(MemOp::ADDR_LIMIT),
+            AccessKind::Load,
+            DataType::Structure,
+            None,
+            OpId(0),
+            0,
+        );
+    }
+
+    #[test]
+    fn debug_prints_the_unpacked_field_list() {
+        let linked = MemOp::new(
+            VirtAddr::new(0x1_0000_2040),
+            AccessKind::Store,
+            DataType::Property,
+            Some(OpId(5)),
+            OpId(9),
+            3,
+        );
+        assert_eq!(
+            format!("{linked:?}"),
+            "MemOp { addr: VirtAddr(4294975552), producer_back: 4, \
+             pre_compute: 3, kind: Store, dtype: Property }"
+        );
+        let independent = op(None, OpId(1));
+        assert_eq!(
+            format!("{independent:?}"),
+            "MemOp { addr: VirtAddr(64), producer_back: 4294967295, \
+             pre_compute: 0, kind: Load, dtype: Structure }"
+        );
     }
 
     #[test]

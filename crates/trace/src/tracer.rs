@@ -81,6 +81,10 @@ impl VecTracer {
         }
     }
 
+    /// Records one op. `push`, `load` and `store` are `#[inline]` so the
+    /// whole per-op path folds into each traced kernel's loop; called out
+    /// of line, it costs more than the append itself.
+    #[inline]
     fn push(
         &mut self,
         addr: VirtAddr,
@@ -124,10 +128,12 @@ impl VecTracer {
 }
 
 impl Tracer for VecTracer {
+    #[inline]
     fn load(&mut self, addr: VirtAddr, dtype: DataType, producer: Option<OpId>) -> OpId {
         self.push(addr, AccessKind::Load, dtype, producer)
     }
 
+    #[inline]
     fn store(&mut self, addr: VirtAddr, dtype: DataType, producer: Option<OpId>) -> OpId {
         self.push(addr, AccessKind::Store, dtype, producer)
     }
