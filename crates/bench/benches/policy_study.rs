@@ -16,6 +16,7 @@
 use droplet::datasets::WorkloadSpec;
 use droplet::experiments::policy_study::{run_policy_study, PolicyLevel, STUDY_POLICIES};
 use droplet::experiments::ExperimentCtx;
+use droplet::obs::json;
 use droplet_bench::bench_json;
 use std::time::Instant;
 
@@ -51,7 +52,7 @@ fn main() {
     );
 
     let mut pairs = vec![
-        ("scale".into(), bench_json::quote("tiny")),
+        ("scale".into(), json::quote("tiny")),
         ("budget".into(), ctx.budget.to_string()),
         ("warmup".into(), ctx.warmup.to_string()),
     ];
@@ -67,7 +68,7 @@ fn main() {
         );
         pairs.push((
             format!("t{threads}"),
-            bench_json::object(&[("wall_ms".into(), format!("{wall_ms:.0}"))]),
+            json::object(&[("wall_ms", format!("{wall_ms:.0}"))]),
         ));
         studies.push(study);
     }
@@ -82,7 +83,7 @@ fn main() {
         );
         pairs.push((format!("geomean_llc_{p}"), format!("{geo:.4}")));
     }
-    let section = bench_json::object(&pairs);
+    let section = json::object(&pairs);
     let path = bench_json::default_report_path();
     bench_json::write_section(&path, "policy_study", &section).expect("write BENCH_engine.json");
     println!("wrote section \"policy_study\" to {}", path.display());

@@ -18,6 +18,7 @@
 //!
 //! Run with: `cargo bench -p droplet-bench --bench serve_load`
 
+use droplet::obs::json;
 use droplet_bench::bench_json;
 use droplet_serve::http::request;
 use droplet_serve::{spawn, ServerOptions};
@@ -180,14 +181,14 @@ fn main() {
         hit_rate
     );
 
-    let section = bench_json::object(&[
-        ("submissions".into(), subs.to_string()),
-        ("hot_p50_ms".into(), format!("{p50:.3}")),
-        ("hot_p99_ms".into(), format!("{p99:.3}")),
-        ("hot_throughput_per_sec".into(), format!("{throughput:.1}")),
-        ("dedupe_hit_rate".into(), format!("{hit_rate:.4}")),
-        ("engine_runs".into(), engine_runs.to_string()),
-        ("saturation".into(), bench_json::object(&saturation_pairs)),
+    let section = json::object(&[
+        ("submissions", subs.to_string()),
+        ("hot_p50_ms", format!("{p50:.3}")),
+        ("hot_p99_ms", format!("{p99:.3}")),
+        ("hot_throughput_per_sec", format!("{throughput:.1}")),
+        ("dedupe_hit_rate", format!("{hit_rate:.4}")),
+        ("engine_runs", engine_runs.to_string()),
+        ("saturation", json::object(&saturation_pairs)),
     ]);
     let path = bench_json::default_report_path();
     bench_json::write_section(&path, "serve_load", &section).expect("write BENCH_engine.json");

@@ -18,7 +18,8 @@
 use criterion::{Criterion, Throughput};
 use droplet::gap::Algorithm;
 use droplet::graph::{Dataset, DatasetScale};
-use droplet::{run_workload, run_workload_scalar, PrefetcherKind, SystemConfig};
+use droplet::obs::json;
+use droplet::{run_workload, PrefetcherKind, SystemConfig};
 use droplet_bench::bench_json;
 use std::sync::Arc;
 
@@ -58,29 +59,6 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-/// One untimed batched-vs-scalar replay per configuration: the timed loop
-/// above runs the batched lane, so the report carries proof (a `*_match`
-/// leaf, gated lower-worse) that the lane changed nothing it measures. The
-/// full structural compare rides the `Debug` rendering — every counter the
-/// simulator reports, not a summary.
-fn hot_lane_matches(bundle: &droplet::gap::TraceBundle, base: &SystemConfig) -> bool {
-    // The manifest stamps host wall time — the one field legitimately
-    // allowed to differ between two replays of the same trace.
-    let render = |mut r: droplet::RunResult| {
-        r.manifest.wall_ms = 0.0;
-        format!("{r:?}")
-    };
-    KINDS.iter().all(|&kind| {
-        let cfg = base.with_prefetcher(kind);
-        let batched = render(run_workload(bundle, &cfg, 0));
-        let scalar = render(run_workload_scalar(bundle, &cfg, 0));
-        if batched != scalar {
-            eprintln!("{}: batched lane diverged from scalar replay", kind.name());
-        }
-        batched == scalar
-    })
-}
-
 fn main() {
     let mut c = Criterion::default();
     bench_replay(&mut c);
@@ -88,29 +66,21 @@ fn main() {
         return;
     }
 
-    let g = Arc::new(Dataset::Kron.build(DatasetScale::Tiny));
-    let bundle = Algorithm::Pr.trace(&g, OPS);
-    let lane_match = hot_lane_matches(&bundle, &SystemConfig::test_scale());
-
     let mut configs = Vec::new();
     for r in c.take_results() {
         let ops_per_sec = r.elements_per_sec().unwrap_or(0.0);
         configs.push((
             r.name.clone(),
-            bench_json::object(&[
-                ("us_per_iter".into(), format!("{:.3}", r.median_ns / 1e3)),
-                ("ops_per_sec".into(), format!("{ops_per_sec:.0}")),
+            json::object(&[
+                ("us_per_iter", format!("{:.3}", r.median_ns / 1e3)),
+                ("ops_per_sec", format!("{ops_per_sec:.0}")),
             ]),
         ));
     }
-    let section = bench_json::object(&[
-        ("trace".into(), bench_json::quote("pr/kron-tiny")),
-        ("ops".into(), OPS.to_string()),
-        (
-            "hot_lane_digest_match".into(),
-            u64::from(lane_match).to_string(),
-        ),
-        ("configs".into(), bench_json::object(&configs)),
+    let section = json::object(&[
+        ("trace", json::quote("pr/kron-tiny")),
+        ("ops", OPS.to_string()),
+        ("configs", json::object(&configs)),
     ]);
     let path = bench_json::default_report_path();
     bench_json::write_section(&path, "sim_replay", &section).expect("write BENCH_engine.json");

@@ -7,10 +7,12 @@
 //! and replaces only its own section on write; sections written by other
 //! binaries are preserved verbatim.
 //!
-//! The file format is plain JSON with one object per section. No JSON
-//! library is vendored, so this module carries a minimal top-level splitter
+//! The file format is plain JSON with one object per section, rendered by
+//! the workspace's one JSON writer, `droplet::obs::json`. No JSON library
+//! is vendored, so this module carries a minimal top-level splitter
 //! (string- and nesting-aware) instead of a full parser.
 
+use droplet::obs::json::quote;
 use std::path::{Path, PathBuf};
 
 /// Default report location: the workspace root, next to `EXPERIMENTS.md`.
@@ -41,33 +43,6 @@ pub fn write_section(path: &Path, section: &str, value: &str) -> std::io::Result
         .collect::<Vec<_>>()
         .join(",\n");
     std::fs::write(path, format!("{{\n{body}\n}}\n"))
-}
-
-/// Renders a JSON string literal (enough escaping for bench names).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an object from key/value pairs whose values are already JSON.
-pub fn object(pairs: &[(String, String)]) -> String {
-    let body = pairs
-        .iter()
-        .map(|(k, v)| format!("{}: {v}", quote(k)))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{{{body}}}")
 }
 
 /// Splits `{"k1": v1, "k2": v2, ...}` into `[(k1, v1), ...]` where each `v`
@@ -129,7 +104,8 @@ pub fn split_top_level(s: &str) -> Option<Vec<(String, String)>> {
 }
 
 /// Consumes an already-opened JSON string, returning (unescaped body, rest
-/// after the closing quote). Only the escapes `quote` emits are decoded.
+/// after the closing quote). Only `\"`, `\\` and `\n` are decoded; other
+/// escapes pass through verbatim (report keys never contain them).
 fn take_string_body(s: &str) -> Option<(String, &str)> {
     let mut out = String::new();
     let mut chars = s.char_indices();
@@ -203,11 +179,5 @@ mod tests {
             ("sim_replay".into(), r#"{"baseline": 1.5}"#.into())
         );
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn object_and_quote_render() {
-        let o = object(&[("a".into(), "1".into()), ("b\"c".into(), quote("v\n"))]);
-        assert_eq!(o, r#"{"a": 1, "b\"c": "v\n"}"#);
     }
 }

@@ -13,8 +13,11 @@
 //! `*_match`) regress when they *fall* — a `*_match` flag dropping from 1
 //! to 0 is a −100% fall, so a broken equivalence always trips the gate.
 //! Any gated leaf moving past the threshold percent in the bad direction
-//! fails the run with exit code 1 — this is the CI bench gate. Other
-//! leaves are printed for context but never gate.
+//! fails the run with exit code 1 — this is the CI bench gate. A gated
+//! leaf present in OLD but missing from NEW is reported as `MISSING` and
+//! fails too, so a bench that stops emitting a config or an invariant
+//! cannot pass. Other leaves, and leaves new in NEW, are printed for
+//! context but never gate.
 //!
 //! ```text
 //! droplet-bench-diff OLD NEW [--threshold PCT]
@@ -146,19 +149,9 @@ fn gate_direction(path: &str) -> Option<bool> {
     }
 }
 
-fn run() -> Result<Vec<String>, String> {
-    let args = parse_args()?;
-    let old = load(&args.old)?;
-    let new = load(&args.new)?;
-
-    let in_section = |path: &str| {
-        args.section
-            .as_deref()
-            .is_none_or(|s| path == s || path.starts_with(&format!("{s}.")))
-    };
-
-    // Merge the two sorted leaf lists on path.
-    let mut rows: Vec<(String, Option<f64>, Option<f64>)> = Vec::new();
+/// Merges two path-sorted leaf lists into `(path, old, new)` rows.
+fn merge(old: &[(String, f64)], new: &[(String, f64)]) -> Vec<(String, Option<f64>, Option<f64>)> {
+    let mut rows = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < old.len() || j < new.len() {
         match (old.get(i), new.get(j)) {
@@ -186,17 +179,30 @@ fn run() -> Result<Vec<String>, String> {
             (None, None) => unreachable!("loop condition"),
         }
     }
+    rows
+}
 
-    println!(
+/// Compares the two leaf lists: the table lines to print, and one message
+/// per gated regression.
+fn compare(
+    args: &Args,
+    old: &[(String, f64)],
+    new: &[(String, f64)],
+) -> (Vec<String>, Vec<String>) {
+    let in_section = |path: &str| {
+        args.section
+            .as_deref()
+            .is_none_or(|s| path == s || path.starts_with(&format!("{s}.")))
+    };
+    let mut lines = vec![format!(
         "{:<52} {:>14} {:>14} {:>9}  gate",
         "leaf", "old", "new", "delta%"
-    );
+    )];
     let mut regressions = Vec::new();
-    for (path, a, b) in rows {
+    for (path, a, b) in merge(old, new) {
         if !in_section(&path) {
             continue;
         }
-        let fmt = |v: Option<f64>| v.map_or("—".to_string(), |x| format!("{x:.3}"));
         let (delta_str, verdict) = match (a, b) {
             (Some(a), Some(b)) if a != 0.0 => {
                 let pct = (b - a) / a * 100.0;
@@ -218,13 +224,28 @@ fn run() -> Result<Vec<String>, String> {
                 };
                 (format!("{pct:+.1}"), verdict)
             }
+            (Some(a), None) if gate_direction(&path).is_some() => {
+                regressions.push(format!("{path}: {a:.3} -> MISSING"));
+                ("—".to_string(), "REGRESSED")
+            }
             _ => ("—".to_string(), ""),
         };
-        println!(
-            "{path:<52} {:>14} {:>14} {delta_str:>9}  {verdict}",
-            fmt(a),
-            fmt(b)
-        );
+        let old_str = a.map_or("—".to_string(), |x| format!("{x:.3}"));
+        let new_str = b.map_or("MISSING".to_string(), |x| format!("{x:.3}"));
+        lines.push(format!(
+            "{path:<52} {old_str:>14} {new_str:>14} {delta_str:>9}  {verdict}"
+        ));
+    }
+    (lines, regressions)
+}
+
+fn run() -> Result<Vec<String>, String> {
+    let args = parse_args()?;
+    let old = load(&args.old)?;
+    let new = load(&args.new)?;
+    let (lines, regressions) = compare(&args, &old, &new);
+    for line in lines {
+        println!("{line}");
     }
     Ok(regressions)
 }
@@ -243,5 +264,52 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(section: Option<&str>) -> Args {
+        Args {
+            old: String::new(),
+            new: String::new(),
+            threshold_up: 15.0,
+            threshold_down: 15.0,
+            section: section.map(str::to_string),
+        }
+    }
+
+    fn leaves(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn vanished_gated_leaf_fails() {
+        let old = leaves(&[
+            ("sim_replay.configs.baseline.us_per_iter", 10.0),
+            ("sim_replay.lane_match", 1.0),
+        ]);
+        let new = leaves(&[("sim_replay.configs.baseline.us_per_iter", 10.0)]);
+        let (lines, regressions) = compare(&args(Some("sim_replay")), &old, &new);
+        assert_eq!(regressions, ["sim_replay.lane_match: 1.000 -> MISSING"]);
+        let row = lines.iter().find(|l| l.contains("lane_match")).unwrap();
+        assert!(
+            row.contains("MISSING") && row.ends_with("REGRESSED"),
+            "{row}"
+        );
+    }
+
+    #[test]
+    fn vanished_ungated_and_new_leaves_are_informational() {
+        let old = leaves(&[("sim_replay.ops", 120_000.0), ("sim_replay.x_us", 5.0)]);
+        let new = leaves(&[("sim_replay.new_match", 1.0), ("sim_replay.x_us", 5.0)]);
+        let (lines, regressions) = compare(&args(None), &old, &new);
+        assert!(regressions.is_empty(), "{regressions:?}");
+        let ops = lines.iter().find(|l| l.contains("sim_replay.ops")).unwrap();
+        assert!(ops.contains("MISSING"), "{ops}");
+        let added = lines.iter().find(|l| l.contains("new_match")).unwrap();
+        assert!(added.trim_end().ends_with('—'), "{added}");
     }
 }

@@ -136,7 +136,7 @@ pub struct FillInfo {
     pub ready_at: Cycle,
     /// Fill the line already dirty (demand store allocation).
     pub dirty: bool,
-    /// Install a system-level accuracy tag (see [`LineMeta::tracked`]).
+    /// Install a system-level accuracy tag (see `LineMeta::tracked`).
     pub track: bool,
 }
 

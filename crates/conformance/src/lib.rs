@@ -7,7 +7,7 @@
 //! *which* component diverged, nor exercise inputs the fixed workloads never
 //! produce. This crate closes that gap with three layers (DESIGN.md §12):
 //!
-//! 1. **Reference models** ([`reference`]) — small, obviously-correct
+//! 1. **Reference models** ([`reference`](mod@reference)) — small, obviously-correct
 //!    re-implementations of each optimized structure's contract: a
 //!    reorder-on-touch `Vec`-LRU set-associative cache, a reorder-on-touch
 //!    TLB, a linear-scan MSHR, a `HashMap` page table, and per-prefetcher
@@ -30,10 +30,8 @@ pub mod diff;
 pub mod fork;
 pub mod fuzz;
 pub mod harness;
-pub mod hotlane;
 pub mod reference;
 
 pub use diff::{fuzz_and_verify, run_lockstep, shrink, Divergence, FuzzReport, Harness};
 pub use fork::ForkHarness;
 pub use fuzz::TraceGen;
-pub use hotlane::HotLaneHarness;

@@ -27,7 +27,7 @@ pub enum PrefetcherKind {
     /// DROPLET: data-aware structure-only streamer + decoupled MC-side MPP.
     Droplet,
     /// Data-aware streamer + MPP1 implemented monolithically at the L1 —
-    /// the arrangement closest to Ainsworth & Jones [40].
+    /// the arrangement closest to Ainsworth & Jones \[40\].
     MonoDropletL1,
     /// The Section VII-B extension: DROPLET that adaptively turns the
     /// streamer's data-awareness off (becoming streamMPP1) when a probing

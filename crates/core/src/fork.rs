@@ -196,11 +196,12 @@ impl SnapSlot {
 ///
 /// The fan-out is pipelined, not phased: all jobs go into one
 /// [`JobPool::run`] batch with the warm-up jobs queued first, and each
-/// cell job blocks only on *its own group's* [`SnapSlot`] — so group A's
+/// cell job blocks only on *its own group's* snapshot slot — so group A's
 /// cells start measuring while group B's warm-up is still simulating,
-/// instead of every cell waiting behind a global warm-up barrier. This is
-/// what makes `run_sweep` scale near-linearly with `DROPLET_THREADS`.
-/// Deadlock-free because workers claim job indices in submission order:
+/// instead of every cell waiting behind a global warm-up barrier. That
+/// removes the barrier's idle time; no committed measurement yet shows how
+/// the sweep scales with `DROPLET_THREADS` (the one recorded 4-vs-1-worker
+/// ratio, 0.912, comes from a single-CPU machine). Deadlock-free because workers claim job indices in submission order:
 /// any cell job a worker runs has every warm-up job already claimed, and
 /// warm-up jobs never wait.
 ///

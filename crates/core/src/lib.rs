@@ -50,8 +50,8 @@ pub use fork::{
 pub use pool::JobPool;
 pub use specparse::SpecError;
 pub use system::{
-    config_hash, run_workload, run_workload_from, run_workload_scalar, run_workload_with_stream,
-    ForkMutation, HotLaneMutation, RunResult, System, SystemProbe, SystemSnapshot, SystemStats,
+    config_hash, run_workload, run_workload_from, run_workload_with_stream, ForkMutation,
+    RunResult, System, SystemProbe, SystemSnapshot, SystemStats,
 };
 pub use trace_cache::TraceCache;
 

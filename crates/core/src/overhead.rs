@@ -20,7 +20,7 @@ pub struct OverheadReport {
     pub page_table_ratio: f64,
     /// Extra bytes on the L2 request queue (one bit per entry).
     pub l2_queue_bytes: u64,
-    /// Relative overhead on the queue (assuming 8 B entries as in [57]).
+    /// Relative overhead on the queue (assuming 8 B entries as in \[57\]).
     pub l2_queue_ratio: f64,
     /// MPP buffer storage in bytes (VAB + PAB + MTLB + registers).
     pub mpp_bytes: u64,

@@ -117,9 +117,6 @@ pub struct System<'a> {
     /// ([`SystemConfig::warmup_key`]) and lets forked sweeps share one
     /// snapshot across every prefetcher configuration.
     pf_enabled: bool,
-    /// Injected hot-lane fault for the conformance self-test; `None` in
-    /// production. See [`HotLaneMutation`].
-    hot_mutation: HotLaneMutation,
 }
 
 /// Epoch-probing state for adaptive DROPLET (Section VII-B extension):
@@ -181,7 +178,6 @@ impl<'a> System<'a> {
             obs,
             warmup_boundary: 0,
             pf_enabled: false,
-            hot_mutation: HotLaneMutation::None,
         }
     }
 
@@ -301,15 +297,7 @@ impl<'a> System<'a> {
             obs: cfg.obs.map(|c| Box::new(ObsRecorder::new(c))),
             warmup_boundary: snap.warmup_boundary,
             pf_enabled: snap.pf_enabled,
-            hot_mutation: HotLaneMutation::None,
         }
-    }
-
-    /// Arms an injected hot-lane fault, for the conformance self-test that
-    /// proves the lockstep differ catches a fast-lane divergence.
-    #[doc(hidden)]
-    pub fn set_hot_lane_mutation(&mut self, mutation: HotLaneMutation) {
-        self.hot_mutation = mutation;
     }
 
     /// A cheap observable fingerprint of demand-path state, for the
@@ -693,20 +681,6 @@ pub enum ForkMutation {
     SkipL1,
 }
 
-/// An injected hot-lane fault: weaken one of the fast lane's eligibility
-/// checks so the conformance self-test can prove the hot-vs-slow lockstep
-/// differ catches a fast-lane divergence. Mirrors [`ForkMutation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HotLaneMutation {
-    /// Faithful hot lane (production behavior).
-    #[default]
-    None,
-    /// Trust the same-page translation memo without checking the page
-    /// number — the classic fast-lane bug: an access to a new page is
-    /// serviced from the previous page's frame.
-    StaleMemo,
-}
-
 /// Observable demand-path counters exposed by [`System::probe`] for the
 /// lockstep differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -806,52 +780,6 @@ impl MemorySystem for System<'_> {
             self.obs_op(op, now);
         }
         response
-    }
-
-    /// The batched hot lane: a demand access is hot-eligible when no
-    /// monolithic-L1 variant is wired (its L1 hits feed the prefetcher),
-    /// no MRB completions or MPP candidates are pending (so skipping
-    /// [`System::drain_mrb`] is a no-op), and the one-entry translation
-    /// memo already holds the op's page (so translation is walk-free and
-    /// the access starts exactly at `now`). Eligibility is decided before
-    /// any state is touched; once the L1 is probed the access is committed
-    /// — a miss continues down the shared slow-path tail rather than
-    /// declining, because the probe already counted the access. The full
-    /// lane contract is DESIGN.md §17.
-    #[inline]
-    fn access_hot(&mut self, op: &MemOp, _id: OpId, now: Cycle) -> Option<AccessResponse> {
-        if self.cfg.prefetcher.monolithic_l1() || !self.mrb.is_empty() || !self.mpp_buf.is_empty() {
-            return None;
-        }
-        let vaddr = op.addr();
-        let (memo_vpn, entry) = self.same_page?;
-        if memo_vpn != vaddr.page_number() {
-            match self.hot_mutation {
-                // The injected fast-lane fault: trust the memo without
-                // checking the page, servicing the access from the wrong
-                // frame — what the lockstep differ must catch.
-                HotLaneMutation::StaleMemo => {}
-                HotLaneMutation::None => return None,
-            }
-        }
-        let is_store = !op.is_load();
-        let dtype = op.dtype();
-        let pl = (entry.frame * PAGE_BYTES + vaddr.page_offset()) / droplet_trace::LINE_BYTES;
-        let response = match self.l1.touch(pl, now, dtype, is_store) {
-            Some(hit) => {
-                let complete = (hit.ready_at.max(now) + self.cfg.l1.data_latency)
-                    .min(now + self.promote_budget);
-                AccessResponse {
-                    complete_at: complete,
-                    level: ServiceLevel::L1,
-                }
-            }
-            None => self.miss_tail(vaddr, pl, entry.structure, now, now, dtype, is_store),
-        };
-        if self.obs.is_some() {
-            self.obs_op(op, now);
-        }
-        Some(response)
     }
 
     fn warmup_done(&mut self, now: Cycle) {
@@ -962,15 +890,12 @@ impl System<'_> {
         self.miss_tail(vaddr, pl, is_structure, t0, now, dtype, is_store)
     }
 
-    /// The shared L1-miss tail of the demand path: prefetch-accuracy
-    /// settling, L2-queue snoop, MSHR stall, the L2/L3/DRAM descent,
-    /// demand fills, and prefetch issue. Factored out of
-    /// [`System::access_inner`] so the hot lane's miss case replays the
-    /// slow path exactly (`t0` is the post-translation start time; equal
-    /// to `now` when the access came through the hot lane's memo hit).
-    /// Out of line so the hot lane's L1-hit fast path stays small. The
-    /// seven arguments are the demand-path registers at the split point —
-    /// bundling them would cost a struct build on the hot lane.
+    /// The L1-miss tail of the demand path: prefetch-accuracy settling,
+    /// L2-queue snoop, MSHR stall, the L2/L3/DRAM descent, demand fills,
+    /// and prefetch issue (`t0` is the post-translation start time, `now`
+    /// the issue cycle). Out of line so [`System::access_inner`]'s L1-hit
+    /// path stays small. The seven arguments are the demand-path
+    /// registers at the split point.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn miss_tail(
@@ -1341,51 +1266,6 @@ pub fn run_workload(bundle: &TraceBundle, cfg: &SystemConfig, warmup_ops: usize)
     run_workload_from(&mut SliceSource::new(&bundle.ops), bundle, cfg, warmup_ops)
 }
 
-/// [`run_workload`] forced down the scalar (per-op) replay lane — no span
-/// plan, no hot lane. Results are bit-identical to [`run_workload`] by the
-/// hot-lane contract (DESIGN.md §17); this runner exists as the reference
-/// side the `demand_path_digests` suite differences the batched lane
-/// against, not for production use.
-pub fn run_workload_scalar(
-    bundle: &TraceBundle,
-    cfg: &SystemConfig,
-    warmup_ops: usize,
-) -> RunResult {
-    let source = &mut SliceSource::new(&bundle.ops);
-    let wall = std::time::Instant::now();
-    let total = source.op_count();
-    let mut engine = CoreEngine::new(cfg.core);
-    let mut system = System::new(cfg.clone(), bundle);
-    let applied = (warmup_ops as u64).min(total / 2);
-    feed_warmup_lane(
-        &mut engine,
-        source,
-        &mut system,
-        applied,
-        ReplayLane::Scalar,
-    );
-    let core_result = feed_measure_lane(
-        &mut engine,
-        source,
-        &mut system,
-        applied,
-        total,
-        ReplayLane::Scalar,
-    );
-    assemble_result(
-        system,
-        core_result,
-        RunShape {
-            warmup_requested: warmup_ops as u64,
-            warmup_applied: applied,
-            trace_ops: total,
-            forked_from: None,
-            warmup_shared: None,
-        },
-        wall,
-    )
-}
-
 /// [`run_workload`] over an arbitrary [`TraceSource`] — the zero-copy
 /// replay path. `source` supplies the op stream (e.g. a block-decoded
 /// columnar artifact, see [`droplet_trace::ColumnarSource`]); `bundle`
@@ -1446,30 +1326,12 @@ pub fn run_workload_with_stream(
     )
 }
 
-/// Which replay lane a feeder drives: the batched span-planned lane
-/// (production) or the scalar per-op lane (the conformance reference).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReplayLane {
-    Batched,
-    Scalar,
-}
-
 /// Streams `[0, until)` from `source` into the engine's warm-up span.
 pub(crate) fn feed_warmup(
     engine: &mut CoreEngine,
     source: &mut dyn TraceSource,
     system: &mut System<'_>,
     until: u64,
-) {
-    feed_warmup_lane(engine, source, system, until, ReplayLane::Batched);
-}
-
-pub(crate) fn feed_warmup_lane(
-    engine: &mut CoreEngine,
-    source: &mut dyn TraceSource,
-    system: &mut System<'_>,
-    until: u64,
-    lane: ReplayLane,
 ) {
     let mut pos = 0u64;
     while pos < until {
@@ -1478,10 +1340,7 @@ pub(crate) fn feed_warmup_lane(
         if run.is_empty() {
             break; // source shorter than promised; nothing left to feed
         }
-        match lane {
-            ReplayLane::Batched => engine.warmup(run, system),
-            ReplayLane::Scalar => engine.warmup_scalar(run, system),
-        }
+        engine.warmup(run, system);
         pos += run.len() as u64;
     }
 }
@@ -1494,17 +1353,6 @@ pub(crate) fn feed_measure(
     from: u64,
     total: u64,
 ) -> CoreResult {
-    feed_measure_lane(engine, source, system, from, total, ReplayLane::Batched)
-}
-
-pub(crate) fn feed_measure_lane(
-    engine: &mut CoreEngine,
-    source: &mut dyn TraceSource,
-    system: &mut System<'_>,
-    from: u64,
-    total: u64,
-    lane: ReplayLane,
-) -> CoreResult {
     let mut m = engine.open_window(system);
     let mut pos = from;
     while pos < total {
@@ -1512,10 +1360,7 @@ pub(crate) fn feed_measure_lane(
         if run.is_empty() {
             break;
         }
-        match lane {
-            ReplayLane::Batched => engine.measure_chunk(run, system, &mut m),
-            ReplayLane::Scalar => engine.measure_chunk_scalar(run, system, &mut m),
-        }
+        engine.measure_chunk(run, system, &mut m);
         pos += run.len() as u64;
     }
     engine.finish(m)

@@ -581,15 +581,15 @@ fn forked_policy_runs_digest_identically_to_full_replay() {
 }
 
 /// The strongest cross-product equality in the suite: for every prefetcher
-/// kind × LLC policy, the production stack — batched hot-lane replay,
-/// forked from a shared warm snapshot, scheduled through the pipelined
-/// sweep on one *and* four workers — must digest bit-identically to the
-/// plainest possible reference: a from-scratch, scalar-lane, single-run
-/// replay. One assertion per cell covers the hot lane, the fork restore,
-/// and the sweep scheduling at once; any of the three diverging breaks it.
+/// kind × LLC policy, the production stack — forked from a shared warm
+/// snapshot, scheduled through the pipelined sweep on one *and* four
+/// workers — must digest bit-identically to the plainest possible
+/// reference: a from-scratch, single-run replay. One assertion per cell
+/// covers the fork restore and the sweep scheduling at once; either
+/// diverging breaks it.
 #[test]
-fn batched_forked_sweeps_match_the_scalar_reference() {
-    use droplet::{run_sweep, run_workload_scalar, SweepCell};
+fn forked_sweeps_match_from_scratch_replay() {
+    use droplet::{run_sweep, SweepCell};
 
     let g = Arc::new(Dataset::Kron.build(DatasetScale::Tiny));
     let bundle = Arc::new(Algorithm::Pr.trace(&g, 40_000));
@@ -612,17 +612,17 @@ fn batched_forked_sweeps_match_the_scalar_reference() {
     let serial = run_sweep(&JobPool::with_threads(1), &cells, warmup, true);
     let parallel = run_sweep(&JobPool::with_threads(4), &cells, warmup, true);
     for ((cell, s), p) in cells.iter().zip(&serial).zip(&parallel) {
-        let reference = run_workload_scalar(&cell.bundle, &cell.cfg, warmup);
+        let reference = run_workload(&cell.bundle, &cell.cfg, warmup);
         let label = format!("{}/{}", cell.cfg.l3.policy, cell.cfg.prefetcher.name());
         assert_eq!(
             digest(s),
             digest(&reference),
-            "{label}: serial batched+forked sweep diverged from the scalar reference"
+            "{label}: serial forked sweep diverged from from-scratch replay"
         );
         assert_eq!(
             digest(p),
             digest(&reference),
-            "{label}: 4-thread batched+forked sweep diverged from the scalar reference"
+            "{label}: 4-thread forked sweep diverged from from-scratch replay"
         );
     }
 }

@@ -9,7 +9,6 @@
 //! short producer→consumer chains (Observation #2) visible as lost MLP.
 
 use crate::mlp::{mlp_of_intervals, MlpStats};
-use crate::plan::BlockPlan;
 use crate::stack::CycleStack;
 use droplet_trace::{Cycle, MemOp, OpId};
 
@@ -72,17 +71,12 @@ pub trait MemorySystem {
     /// `now`, returning when and where it completes.
     fn access(&mut self, op: &MemOp, id: OpId, now: Cycle) -> AccessResponse;
 
-    /// Attempts the batched hot lane for `op`: service the access through
-    /// a branch-light fast path (same-page TLB memo + first-level hit,
-    /// no pending sideband work), bypassing full demand dispatch.
-    ///
-    /// The contract (DESIGN.md §17): `Some(response)` must be
-    /// bit-identical — timing, statistics, and every state side effect —
-    /// to what [`MemorySystem::access`] would have produced for the same
-    /// call; `None` means the op is not hot-eligible and **no state was
-    /// touched**, so the caller must route the op through `access`
-    /// unchanged. The default declines everything, which keeps plain
-    /// memory models correct without opting in.
+    /// Not part of the replay path: the engine never calls this, and the
+    /// default declines every op. It remains only because the benchmark's
+    /// timing shim (`perfbench/src/layers.rs`) still implements it, and the
+    /// benchmark's files stay fixed across the changes it measures. Delete
+    /// it together with that forwarding.
+    #[doc(hidden)]
     #[inline]
     fn access_hot(&mut self, op: &MemOp, id: OpId, now: Cycle) -> Option<AccessResponse> {
         let _ = (op, id, now);
@@ -260,9 +254,6 @@ pub struct CoreEngine {
     ii: u64,
     /// Global op position (continues across warmup/measure spans).
     pos: usize,
-    /// Reusable span plan for the batched lane (carries the trailing page
-    /// across chunks so chunk boundaries don't break same-page runs).
-    plan: BlockPlan,
 }
 
 impl CoreEngine {
@@ -293,7 +284,6 @@ impl CoreEngine {
             store_pos: 0,
             ii: 0,
             pos: 0,
-            plan: BlockPlan::new(),
         }
     }
 
@@ -321,14 +311,6 @@ impl CoreEngine {
 
     /// Runs `ops` without measurement (the warm-up prefix).
     pub fn warmup(&mut self, ops: &[MemOp], mem: &mut impl MemorySystem) {
-        self.run_span_batched(ops, mem, None);
-    }
-
-    /// [`CoreEngine::warmup`] forced down the scalar reference lane (no
-    /// span plan, no [`MemorySystem::access_hot`]). Exists so the digest
-    /// and conformance suites can difference the two lanes; results are
-    /// bit-identical by contract.
-    pub fn warmup_scalar(&mut self, ops: &[MemOp], mem: &mut impl MemorySystem) {
         self.run_span(ops, mem, None);
     }
 
@@ -353,17 +335,6 @@ impl CoreEngine {
 
     /// Runs `ops` inside an open measurement window.
     pub fn measure_chunk(
-        &mut self,
-        ops: &[MemOp],
-        mem: &mut impl MemorySystem,
-        m: &mut MeasureState,
-    ) {
-        self.run_span_batched(ops, mem, Some(m));
-    }
-
-    /// [`CoreEngine::measure_chunk`] forced down the scalar reference
-    /// lane; see [`CoreEngine::warmup_scalar`].
-    pub fn measure_chunk_scalar(
         &mut self,
         ops: &[MemOp],
         mem: &mut impl MemorySystem,
@@ -550,196 +521,6 @@ impl CoreEngine {
         self.store_pos = store_pos;
         self.ii = ii;
         self.pos = base + ops.len();
-    }
-
-    /// The batched lane: identical per-op arithmetic to [`run_span`]
-    /// (which stays as the scalar reference lane), organized as span-sized
-    /// inner loops over a precomputed [`BlockPlan`] so the access-kind
-    /// branch hoists out of the loop and eligible ops are offered to the
-    /// memory system's hot lane ([`MemorySystem::access_hot`]) before
-    /// paying full dispatch. Bit-identity between the two lanes is the
-    /// hot-lane contract, enforced by the `demand_path_digests`
-    /// batched-vs-scalar suite and the conformance hot-lane harness.
-    ///
-    /// [`run_span`]: CoreEngine::run_span
-    fn run_span_batched(
-        &mut self,
-        ops: &[MemOp],
-        mem: &mut impl MemorySystem,
-        mut meas: Option<&mut MeasureState>,
-    ) {
-        let mut plan = std::mem::take(&mut self.plan);
-        plan.compute(ops);
-        if plan.is_degenerate() || plan.hot_candidates() == 0 {
-            // The block has no page runs at all, so the plan cannot offer
-            // a single hot probe: run the plain scalar loop and skip the
-            // span bookkeeping (identical results either way — the hot
-            // lane is exact — this only avoids paying for an empty plan).
-            self.plan = plan;
-            return self.run_span(ops, mem, meas);
-        }
-
-        let w = u64::from(self.cfg.width);
-        let rob = u64::from(self.cfg.rob);
-        let wshift = if w.is_power_of_two() {
-            Some(w.trailing_zeros())
-        } else {
-            None
-        };
-        let div_w = |units: u64| match wshift {
-            Some(s) => units >> s,
-            None => units / w,
-        };
-
-        // Hoist the engine state into locals for the hot loop.
-        let mut disp_units = self.disp_units;
-        let mut ret_units = self.ret_units;
-        let end_ii = &mut *self.end_ii;
-        let ret_time = &mut *self.ret_time;
-        let complete = &mut *self.complete;
-        let mut rob_ptr = self.rob_ptr;
-        let lq = self.cfg.load_queue as usize;
-        let sq = self.cfg.store_queue as usize;
-        let load_ret = &mut self.load_ret[..];
-        let store_ret = &mut self.store_ret[..];
-        let mut n_loads = self.n_loads;
-        let mut n_stores = self.n_stores;
-        let mut load_pos = self.load_pos;
-        let mut store_pos = self.store_pos;
-        let mut ii = self.ii;
-        let base = self.pos;
-
-        let mut k = 0usize;
-        for span in plan.spans() {
-            let span_ops = &ops[k..k + span.len as usize];
-            // Loop-invariant over the span: the compiler hoists the kind
-            // branches the scalar lane re-evaluates per op.
-            let is_load = span.is_load;
-            // Whether the same-page memo may already match: true for every
-            // op after the span's first (the first op primes it through
-            // either lane), and for the first op iff the span continues
-            // the previous op's page. A `false` skips a hot-lane probe
-            // that is guaranteed to decline.
-            let mut try_hot = span.cont_page;
-            for (j, op) in span_ops.iter().enumerate() {
-                let i = base + k + j;
-                let block = 1 + u64::from(op.pre_compute());
-                let ii_start = ii;
-                ii += block;
-
-                // --- Dispatch constraints ---
-                let mut floor_units = disp_units + block;
-                if ii_start >= rob {
-                    let target = ii_start - rob;
-                    while rob_ptr < i && end_ii[(rob_ptr + 1) & HIST_MASK] <= target {
-                        rob_ptr += 1;
-                    }
-                    if i > 0 && end_ii[rob_ptr & HIST_MASK] <= target {
-                        floor_units = floor_units.max(ret_time[rob_ptr & HIST_MASK] * w + block);
-                    }
-                }
-                if is_load {
-                    if n_loads >= lq {
-                        floor_units = floor_units.max(load_ret[load_pos] * w + block);
-                    }
-                } else if n_stores >= sq {
-                    floor_units = floor_units.max(store_ret[store_pos] * w + block);
-                }
-                disp_units = floor_units;
-                let disp_cycle = div_w(disp_units);
-
-                // --- Issue: wait for the producer's value ---
-                let mut issue_at = disp_cycle;
-                if let Some(back) = op.producer_back() {
-                    let back = back as usize;
-                    if back <= i && back < HIST {
-                        let pc = complete[(i - back) & HIST_MASK];
-                        issue_at = issue_at.max(pc);
-                    }
-                }
-
-                // --- Execute (hot lane first, full dispatch on decline) ---
-                let resp = if try_hot {
-                    match mem.access_hot(op, OpId(i as u64), issue_at) {
-                        Some(r) => r,
-                        None => mem.access(op, OpId(i as u64), issue_at),
-                    }
-                } else {
-                    mem.access(op, OpId(i as u64), issue_at)
-                };
-                try_hot = true;
-                let (complete_at, level) = if is_load {
-                    (resp.complete_at.max(issue_at + 1), Some(resp.level))
-                } else {
-                    // Stores drain from the store buffer off the critical
-                    // path, but still update the memory system's state.
-                    (issue_at + 1, None)
-                };
-
-                // --- Retire (in order, width-limited) ---
-                let before = ret_units;
-                ret_units = (ret_units + block).max(complete_at * w);
-                let rt = div_w(ret_units);
-
-                // --- Bookkeeping rings ---
-                let h = i & HIST_MASK;
-                end_ii[h] = ii;
-                ret_time[h] = rt;
-                complete[h] = complete_at;
-                if is_load {
-                    load_ret[load_pos] = rt;
-                    n_loads += 1;
-                    load_pos += 1;
-                    if load_pos == lq {
-                        load_pos = 0;
-                    }
-                } else {
-                    store_ret[store_pos] = rt;
-                    n_stores += 1;
-                    store_pos += 1;
-                    if store_pos == sq {
-                        store_pos = 0;
-                    }
-                }
-
-                // --- Measurement ---
-                if let Some(m) = meas.as_deref_mut() {
-                    m.memops += 1;
-                    let elapsed = ret_units - before;
-                    let excess = elapsed.saturating_sub(block);
-                    m.stack.base += block;
-                    match level {
-                        Some(l) => {
-                            m.loads += 1;
-                            m.serviced_by[l.index()] += 1;
-                            if l == ServiceLevel::Dram {
-                                m.dram_intervals.push((issue_at, complete_at));
-                            }
-                            match l {
-                                ServiceLevel::L1 => m.stack.l1 += excess,
-                                ServiceLevel::L2 => m.stack.l2 += excess,
-                                ServiceLevel::L3 => m.stack.l3 += excess,
-                                ServiceLevel::Dram => m.stack.dram += excess,
-                            }
-                        }
-                        None => m.stack.other += excess,
-                    }
-                }
-            }
-            k += span.len as usize;
-        }
-
-        // Write the hoisted state back.
-        self.disp_units = disp_units;
-        self.ret_units = ret_units;
-        self.rob_ptr = rob_ptr;
-        self.n_loads = n_loads;
-        self.n_stores = n_stores;
-        self.load_pos = load_pos;
-        self.store_pos = store_pos;
-        self.ii = ii;
-        self.pos = base + ops.len();
-        self.plan = plan;
     }
 }
 
@@ -969,35 +750,11 @@ mod tests {
         assert_eq!(r.loads, 0);
     }
 
-    /// A memory system with a hot lane: near lines complete as L1 hits
-    /// through `access_hot`, everything else declines to `access`.
-    struct HotSplitMem {
-        inner: SplitMem,
-        hot_hits: u64,
-    }
-
-    impl MemorySystem for HotSplitMem {
-        fn access(&mut self, op: &MemOp, id: OpId, now: Cycle) -> AccessResponse {
-            self.inner.access(op, id, now)
-        }
-
-        fn access_hot(&mut self, op: &MemOp, id: OpId, now: Cycle) -> Option<AccessResponse> {
-            if op.addr().line_index() < self.inner.split {
-                self.hot_hits += 1;
-                // Must be bit-identical to what `access` produces.
-                Some(self.access(op, id, now))
-            } else {
-                None
-            }
-        }
-
-        fn warmup_done(&mut self, _now: Cycle) {}
-    }
-
     #[test]
-    fn batched_lane_matches_scalar_lane() {
+    fn chunking_is_invisible_to_results() {
         // Mixed trace: same-page L1-hit runs, DRAM excursions, stores, and
-        // producer dependencies — everything both lanes must agree on.
+        // producer links. Feeding it in any chunking, across the warm-up
+        // boundary, must leave the engine and the measured result unchanged.
         let mut trace = Vec::new();
         for i in 0..400u64 {
             let line = if i % 7 == 0 { 100_000 + i } else { i % 4 };
@@ -1019,56 +776,34 @@ mod tests {
                 ));
             }
         }
-
-        let mut scalar_mem = SplitMem {
-            split: 10,
-            dram_latency: 180,
-            accesses: 0,
-        };
-        let mut scalar_eng = CoreEngine::new(CoreConfig::baseline());
-        scalar_eng.warmup_scalar(&trace[..100], &mut scalar_mem);
-        let mut sm = scalar_eng.open_window(&mut scalar_mem);
-        scalar_eng.measure_chunk_scalar(&trace[100..], &mut scalar_mem, &mut sm);
-        let scalar = scalar_eng.finish(sm);
-
-        let mut hot_mem = HotSplitMem {
-            inner: SplitMem {
+        let warmup = 100;
+        let run = |chunk: usize| {
+            let mut mem = SplitMem {
                 split: 10,
                 dram_latency: 180,
                 accesses: 0,
-            },
-            hot_hits: 0,
+            };
+            let mut eng = CoreEngine::new(CoreConfig::baseline());
+            for ops in trace[..warmup].chunks(chunk) {
+                eng.warmup(ops, &mut mem);
+            }
+            let mut m = eng.open_window(&mut mem);
+            for ops in trace[warmup..].chunks(chunk) {
+                eng.measure_chunk(ops, &mut mem, &mut m);
+            }
+            (eng.clocks(), eng.finish(m))
         };
-        let mut hot_eng = CoreEngine::new(CoreConfig::baseline());
-        hot_eng.warmup(&trace[..100], &mut hot_mem);
-        let mut hm = hot_eng.open_window(&mut hot_mem);
-        hot_eng.measure_chunk(&trace[100..], &mut hot_mem, &mut hm);
-        let hot = hot_eng.finish(hm);
-
-        assert_eq!(scalar_eng.clocks(), hot_eng.clocks());
-        assert_eq!(scalar.cycles, hot.cycles);
-        assert_eq!(scalar.serviced_by, hot.serviced_by);
-        assert_eq!(scalar.loads, hot.loads);
-        assert!(hot_mem.hot_hits > 0, "hot lane never engaged");
-    }
-
-    #[test]
-    fn batched_lane_skips_hot_probe_on_page_breaks() {
-        // Every op on a new page: the plan reports no same-page runs, so
-        // the hot lane must never be probed for the span-opening ops.
-        let trace: Vec<MemOp> = (0..64).map(|i| load(i, i * 100, None, 0)).collect();
-        let mut mem = HotSplitMem {
-            inner: SplitMem {
-                split: u64::MAX,
-                dram_latency: 100,
-                accesses: 0,
-            },
-            hot_hits: 0,
-        };
-        let mut eng = CoreEngine::new(CoreConfig::baseline());
-        eng.warmup(&trace, &mut mem);
-        assert_eq!(mem.hot_hits, 0, "page-break ops must skip the hot probe");
-        assert_eq!(mem.inner.accesses, 64);
+        let (clocks, whole) = run(trace.len());
+        assert!(whole.serviced_by[ServiceLevel::Dram.index()] > 0);
+        assert!(whole.serviced_by[ServiceLevel::L1.index()] > 0);
+        for chunk in [1, 7, 64] {
+            let (c, r) = run(chunk);
+            assert_eq!(c, clocks, "clocks, {chunk}-op chunks");
+            assert_eq!(r.cycles, whole.cycles, "cycles, {chunk}-op chunks");
+            assert_eq!(r.serviced_by, whole.serviced_by, "{chunk}-op chunks");
+            assert_eq!(r.loads, whole.loads, "loads, {chunk}-op chunks");
+            assert_eq!(r.cycle_stack, whole.cycle_stack, "{chunk}-op chunks");
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod core;
 pub mod depchain;
 pub mod mlp;
 pub mod mshr;
-pub mod plan;
 pub mod stack;
 
 pub use crate::core::{
@@ -45,5 +44,4 @@ pub use crate::core::{
 pub use depchain::{analyze_chains, ChainReport};
 pub use mlp::{mlp_of_intervals, MlpStats};
 pub use mshr::MshrFile;
-pub use plan::{BlockPlan, OpSpan};
 pub use stack::CycleStack;

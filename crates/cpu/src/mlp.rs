@@ -1,7 +1,7 @@
 //! Memory-level-parallelism measurement.
 //!
 //! MLP is the average number of outstanding DRAM requests over the cycles
-//! during which at least one is outstanding (Chou et al. [32], the
+//! during which at least one is outstanding (Chou et al. \[32\], the
 //! definition the paper's Section IV-A uses).
 
 use droplet_trace::Cycle;

@@ -80,7 +80,7 @@ fn backward(g: &Csr, depth: &[u32], sigma: &[u64], waves: &[Vec<u32>]) -> Vec<f6
     bc
 }
 
-/// Traced BC; computes exactly what [`reference`] computes.
+/// Traced BC; computes exactly what [`reference()`] computes.
 pub fn traced(
     g: &Arc<Csr>,
     mut space: AddressSpace,

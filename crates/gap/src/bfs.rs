@@ -28,7 +28,7 @@ pub fn reference(g: &Csr) -> Vec<u32> {
     run(g, &g.transpose(), None).0
 }
 
-/// Traced BFS; computes exactly what [`reference`] computes.
+/// Traced BFS; computes exactly what [`reference()`] computes.
 pub fn traced(
     g: &Arc<Csr>,
     mut space: AddressSpace,

@@ -45,7 +45,7 @@ pub fn reference(g: &Csr) -> Vec<u32> {
     comp
 }
 
-/// Traced CC; computes exactly what [`reference`] computes.
+/// Traced CC; computes exactly what [`reference()`] computes.
 pub fn traced(
     g: &Arc<Csr>,
     mut space: AddressSpace,

@@ -51,7 +51,7 @@ pub fn reference(g: &Csr) -> Vec<f64> {
     scores
 }
 
-/// Traced PageRank; computes exactly what [`reference`] computes.
+/// Traced PageRank; computes exactly what [`reference()`] computes.
 pub fn traced(
     g: &Arc<Csr>,
     mut space: AddressSpace,

@@ -25,7 +25,7 @@ pub fn reference(g: &Csr) -> Vec<u32> {
     run(g, None, u64::MAX).0
 }
 
-/// Traced SSSP; computes exactly what [`reference`] computes.
+/// Traced SSSP; computes exactly what [`reference()`] computes.
 pub fn traced(
     g: &Arc<Csr>,
     mut space: AddressSpace,

@@ -1,13 +1,16 @@
-//! Minimal JSON rendering for journals and manifests.
+//! The workspace's one JSON writer.
 //!
-//! The workspace vendors no JSON library; the bench harness
-//! (`droplet-bench::bench_json`) established the house style — hand-rendered
-//! objects with string-aware escaping — and this module is the same writer
-//! made available below the `droplet` crate so the simulator itself can emit
-//! journals. Only rendering lives here; parsing (needed by
-//! `droplet-bench-diff` only) stays in the bench crate.
+//! The workspace vendors no JSON library. Journals and manifests (here),
+//! the bench reports (`droplet-bench::bench_json`) and the service's
+//! response bodies (`droplet-serve`) all render through these functions:
+//! hand-rendered objects with string-aware escaping. Parsing stays with
+//! its two users, because they want different things: the bench crate
+//! splits whole report files at nesting-aware top-level commas, while the
+//! service parses flat experiment specs strictly and reports byte-offset
+//! errors as HTTP 400 bodies.
 
-/// Renders a JSON string literal (enough escaping for labels and paths).
+/// Renders a JSON string literal, escaping `"`, `\` and every control
+/// character (`\n`, `\t`, `\r` as short escapes, the rest as `\u00XX`).
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -16,6 +19,8 @@ pub fn quote(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
@@ -24,11 +29,12 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Renders an object from key/value pairs whose values are already JSON.
-pub fn object(pairs: &[(String, String)]) -> String {
+/// Renders a single-line object from key/value pairs whose values are
+/// already JSON. Keys may be `&str` or `String`.
+pub fn object<K: AsRef<str>>(pairs: &[(K, String)]) -> String {
     let body = pairs
         .iter()
-        .map(|(k, v)| format!("{}: {v}", quote(k)))
+        .map(|(k, v)| format!("{}: {v}", quote(k.as_ref())))
         .collect::<Vec<_>>()
         .join(", ");
     format!("{{{body}}}")
@@ -50,8 +56,19 @@ mod tests {
 
     #[test]
     fn object_and_quote_render() {
-        let o = object(&[("a".into(), "1".into()), ("b\"c".into(), quote("v\n"))]);
+        let o = object(&[("a", "1".into()), ("b\"c", quote("v\n"))]);
         assert_eq!(o, r#"{"a": 1, "b\"c": "v\n"}"#);
+        let owned = vec![("k".to_string(), quote("v")), ("n".to_string(), "3".into())];
+        assert_eq!(object(&owned), r#"{"k": "v", "n": 3}"#);
+        assert_eq!(object::<&str>(&[]), "{}");
+    }
+
+    #[test]
+    fn quote_round_trips_specials() {
+        assert_eq!(quote("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(quote("tab\there\rcr"), r#""tab\there\rcr""#);
+        assert_eq!(quote("\u{1}\u{1f}"), r#""\u0001\u001f""#);
+        assert_eq!(quote("ünï"), "\"ünï\"");
     }
 
     #[test]

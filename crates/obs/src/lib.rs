@@ -15,8 +15,8 @@
 //!    snapshot equals the end-of-run [`RunResult`] counters exactly;
 //!    per-epoch deltas are derived at render time ([`RunJournal::epochs`]).
 //! 2. **Run journal** ([`RunJournal`]): the ring serialized as JSONL — one
-//!    self-contained object per epoch — using the same hand-rendered JSON
-//!    writer style as `bench_json` (no new dependencies).
+//!    self-contained object per epoch — rendered by [`json`], the
+//!    workspace's one JSON writer (no new dependencies).
 //! 3. **Run manifest** ([`RunManifest`]): config hash, workload, warm-up
 //!    request/clamp, thread count, seed, and wall time, emitted alongside
 //!    every run so `results/*.txt` become reproducible artifacts.
@@ -477,57 +477,54 @@ impl EpochMetrics {
     pub fn to_json(&self, cum: &ObsSnapshot, window_start: Cycle) -> String {
         use json::{num, object};
         object(&[
-            ("epoch".into(), self.index.to_string()),
-            ("ops".into(), self.ops.to_string()),
-            ("cycle".into(), self.cycle.to_string()),
-            ("ipc".into(), num(self.ipc)),
-            ("l1_mpki".into(), num(self.mpki[0])),
-            ("l2_mpki".into(), num(self.mpki[1])),
-            ("llc_mpki".into(), num(self.mpki[2])),
+            ("epoch", self.index.to_string()),
+            ("ops", self.ops.to_string()),
+            ("cycle", self.cycle.to_string()),
+            ("ipc", num(self.ipc)),
+            ("l1_mpki", num(self.mpki[0])),
+            ("l2_mpki", num(self.mpki[1])),
+            ("llc_mpki", num(self.mpki[2])),
             (
-                "llc_mpki_structure".into(),
+                "llc_mpki_structure",
                 num(self.llc_mpki_by_type[DataType::Structure.index()]),
             ),
             (
-                "llc_mpki_property".into(),
+                "llc_mpki_property",
                 num(self.llc_mpki_by_type[DataType::Property.index()]),
             ),
             (
-                "llc_mpki_intermediate".into(),
+                "llc_mpki_intermediate",
                 num(self.llc_mpki_by_type[DataType::Intermediate.index()]),
             ),
-            ("l2_hit_rate".into(), num(self.l2_hit_rate)),
-            ("bw_util".into(), num(self.bw_util)),
+            ("l2_hit_rate", num(self.l2_hit_rate)),
+            ("bw_util", num(self.bw_util)),
             (
-                "bw_util_cum".into(),
+                "bw_util_cum",
                 num(cum.dram.window_utilization(window_start, cum.cycle)),
             ),
-            ("bpki".into(), num(self.bpki)),
-            ("avg_queue_delay".into(), num(self.avg_queue_delay)),
-            ("mrb_len".into(), self.mrb_len.to_string()),
-            ("mrb_overflows".into(), self.mrb_overflows.to_string()),
+            ("bpki", num(self.bpki)),
+            ("avg_queue_delay", num(self.avg_queue_delay)),
+            ("mrb_len", self.mrb_len.to_string()),
+            ("mrb_overflows", self.mrb_overflows.to_string()),
             (
-                "pf_accuracy_structure".into(),
+                "pf_accuracy_structure",
                 num(self.pf_accuracy_by_type[DataType::Structure.index()]),
             ),
             (
-                "pf_accuracy_property".into(),
+                "pf_accuracy_property",
                 num(self.pf_accuracy_by_type[DataType::Property.index()]),
             ),
-            ("pf_coverage".into(), num(self.pf_coverage)),
-            ("pf_timeliness".into(), num(self.pf_timeliness)),
-            ("dram_demand".into(), self.dram_demand.to_string()),
-            ("dram_prefetch".into(), self.dram_prefetch.to_string()),
-            ("cum_instructions".into(), cum.instructions.to_string()),
+            ("pf_coverage", num(self.pf_coverage)),
+            ("pf_timeliness", num(self.pf_timeliness)),
+            ("dram_demand", self.dram_demand.to_string()),
+            ("dram_prefetch", self.dram_prefetch.to_string()),
+            ("cum_instructions", cum.instructions.to_string()),
             (
-                "cum_cycles".into(),
+                "cum_cycles",
                 cum.cycle.saturating_sub(window_start).to_string(),
             ),
-            (
-                "cum_dram_bus_busy".into(),
-                cum.dram.bus_busy_cycles.to_string(),
-            ),
-            ("cum_writebacks".into(), cum.writebacks.to_string()),
+            ("cum_dram_bus_busy", cum.dram.bus_busy_cycles.to_string()),
+            ("cum_writebacks", cum.writebacks.to_string()),
         ])
     }
 }
@@ -658,36 +655,33 @@ impl RunManifest {
     pub fn render_json(&self) -> String {
         json::object(&[
             (
-                "config_hash".into(),
+                "config_hash",
                 json::quote(&format!("{:016x}", self.config_hash)),
             ),
-            ("prefetcher".into(), json::quote(&self.prefetcher)),
-            ("policies".into(), json::quote(&self.policies)),
-            ("workload".into(), opt_json(&self.workload, true)),
-            ("trace_ops".into(), self.trace_ops.to_string()),
-            ("warmup_requested".into(), self.warmup_requested.to_string()),
-            ("warmup_applied".into(), self.warmup_applied.to_string()),
-            ("warmup_clamped".into(), self.warmup_clamped.to_string()),
+            ("prefetcher", json::quote(&self.prefetcher)),
+            ("policies", json::quote(&self.policies)),
+            ("workload", opt_json(&self.workload, true)),
+            ("trace_ops", self.trace_ops.to_string()),
+            ("warmup_requested", self.warmup_requested.to_string()),
+            ("warmup_applied", self.warmup_applied.to_string()),
+            ("warmup_clamped", self.warmup_clamped.to_string()),
             (
-                "warmup_boundary_cycle".into(),
+                "warmup_boundary_cycle",
                 self.warmup_boundary_cycle.to_string(),
             ),
-            ("threads".into(), opt_json(&self.threads, false)),
-            ("seed".into(), opt_json(&self.seed, false)),
-            ("epoch_ops".into(), opt_json(&self.epoch_ops, false)),
-            ("epochs".into(), opt_json(&self.epochs, false)),
-            ("wall_ms".into(), json::num(self.wall_ms)),
+            ("threads", opt_json(&self.threads, false)),
+            ("seed", opt_json(&self.seed, false)),
+            ("epoch_ops", opt_json(&self.epoch_ops, false)),
+            ("epochs", opt_json(&self.epochs, false)),
+            ("wall_ms", json::num(self.wall_ms)),
             (
-                "forked_from".into(),
+                "forked_from",
                 opt_json(&self.forked_from.map(|h| format!("{h:016x}")), true),
             ),
-            ("warmup_shared".into(), opt_json(&self.warmup_shared, false)),
+            ("warmup_shared", opt_json(&self.warmup_shared, false)),
+            ("trace_cache_len", opt_json(&self.trace_cache_len, false)),
             (
-                "trace_cache_len".into(),
-                opt_json(&self.trace_cache_len, false),
-            ),
-            (
-                "trace_cache_bytes".into(),
+                "trace_cache_bytes",
                 opt_json(&self.trace_cache_bytes, false),
             ),
         ])

@@ -1,5 +1,5 @@
 //! G/DC (Global / Delta Correlation) prefetching with a Global History
-//! Buffer (Nesbit & Smith [39]) — the paper's `GHB` comparison point:
+//! Buffer (Nesbit & Smith \[39\]) — the paper's `GHB` comparison point:
 //! a 512-entry index table and a 512-entry history buffer (Table V).
 //!
 //! On each L1 miss the global miss-address history is extended; the index

@@ -1,5 +1,5 @@
 //! The L2 stream prefetcher (paper Section V-B, following the streamer of
-//! Srinath et al. [53]): 64 trackers, prefetch distance 16, stops at page
+//! Srinath et al. \[53\]): 64 trackers, prefetch distance 16, stops at page
 //! boundaries, and needs two additional miss addresses to confirm a stream
 //! direction before prefetching.
 //!

@@ -1,4 +1,4 @@
-//! The Variable Length Delta Prefetcher (Shevgoor et al. [38]) — the
+//! The Variable Length Delta Prefetcher (Shevgoor et al. \[38\]) — the
 //! paper's `VLDP` comparison point. Per Table V: a DRB tracking the last 64
 //! pages, a 64-entry OPT (offset prediction table), and 3 cascaded 64-entry
 //! DPTs (delta prediction tables keyed by delta histories of length 1–3,
@@ -11,7 +11,7 @@
 //! next one. The tables are therefore built to fit a few kilobytes that
 //! stay L1-resident: every delta is a line-offset difference within a
 //! 4 KiB page (|d| ≤ 63), so deltas live in `i8` columns, whole delta
-//! histories pack into one `u64` of biased 16-bit lanes ([`pack_suffix`] —
+//! histories pack into one `u64` of biased 16-bit lanes (`pack_suffix` —
 //! equality- and order-preserving, so packed keys behave exactly like the
 //! `[i64; 4]` histories they replace), LRU stamps are `u32`, and a DRB row
 //! is 8 bytes. Probes are [`find_u64`] sweeps over dense key columns;
@@ -505,7 +505,7 @@ impl VldpPrefetcher {
     /// # Panics
     ///
     /// Panics if any table capacity or the level count is zero, or if
-    /// `levels` exceeds [`MAX_LEVELS`].
+    /// `levels` exceeds `MAX_LEVELS`.
     pub fn new(cfg: VldpConfig) -> Self {
         assert!(
             cfg.drb_pages > 0 && cfg.opt_entries > 0 && cfg.dpt_entries > 0 && cfg.levels > 0,

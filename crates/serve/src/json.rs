@@ -4,8 +4,8 @@
 //! numbers, booleans) or arrays of scalars — exactly the shape an
 //! experiment spec needs — so the parser here handles that subset and
 //! nothing more, keeping the service free of serialization dependencies.
-//! Response bodies are assembled with the same hand-rolled quoting the
-//! bench reports use.
+//! Response bodies are rendered by the workspace's one JSON writer,
+//! `droplet::obs::json`.
 
 /// A parsed spec value: one scalar, or an array of scalars.
 ///
@@ -168,35 +168,6 @@ impl Parser<'_> {
     }
 }
 
-/// Quotes `s` as a JSON string (escaping `"` `\` and control characters).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders `pairs` as a single-line JSON object; values are inserted
-/// verbatim (already-rendered JSON).
-pub fn object(pairs: &[(&str, String)]) -> String {
-    let body: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("{}: {v}", quote(k)))
-        .collect();
-    format!("{{{}}}", body.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,14 +211,5 @@ mod tests {
         assert!(parse_object(r#"{"a": 1"#).is_err());
         assert!(parse_object(r#"{"a": {"nested": 1}}"#).is_err());
         assert!(parse_object(r#"{"a": 1} trailing"#).is_err());
-    }
-
-    #[test]
-    fn quote_round_trips_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(
-            object(&[("k", quote("v")), ("n", "3".into())]),
-            r#"{"k": "v", "n": 3}"#
-        );
     }
 }

@@ -31,9 +31,9 @@
 
 use crate::dedupe::{Claim, Inflight, JobCell};
 use crate::http::{self, ChunkedResponse, Request};
-use crate::json;
 use crate::spec::RunSpec;
 use crate::store::{valid_key, ResultStore};
+use droplet::obs::json;
 use droplet::trace::SliceSource;
 use droplet::{
     run_sweep, run_workload_with_stream, JobPool, RunResult, SpecError, SweepCell, SystemConfig,

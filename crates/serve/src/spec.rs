@@ -5,7 +5,8 @@
 //! rejects with `error: --budget: invalid value "abc"` is rejected here
 //! with an HTTP 400 carrying the identical field-level message.
 
-use crate::json::{self, SpecValue};
+use crate::json::{parse_object, SpecValue};
+use droplet::obs::json;
 use droplet::specparse::{
     parse_algo, parse_dataset, parse_policy, parse_prefetcher, parse_scale, parse_u64,
 };
@@ -66,7 +67,7 @@ impl RunSpec {
     /// `default_scale` supplies `scale` when the body omits it; `budget`
     /// defaults to the scale's standard trace budget.
     pub fn parse(body: &str, default_scale: DatasetScale) -> Result<RunSpec, SpecError> {
-        let pairs = json::parse_object(body).map_err(|e| SpecError {
+        let pairs = parse_object(body).map_err(|e| SpecError {
             field: "body".to_string(),
             value: e,
             expected: "a flat JSON object",
