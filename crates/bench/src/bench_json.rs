@@ -130,6 +130,7 @@ fn take_string_body(s: &str) -> Option<(String, &str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use droplet::obs::json::object;
 
     #[test]
     fn split_round_trips_nested_values() {
@@ -179,5 +180,21 @@ mod tests {
             ("sim_replay".into(), r#"{"baseline": 1.5}"#.into())
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn object_and_quote_render() {
+        // Bench sections render through the shared writer; what it emits
+        // must be what this module's splitter reads back.
+        let o = object(&[
+            ("a".to_string(), "1".into()),
+            ("b\"c".to_string(), quote("v\n")),
+        ]);
+        assert_eq!(o, r#"{"a": 1, "b\"c": "v\n"}"#);
+        let parts = split_top_level(&o).unwrap();
+        assert_eq!(
+            parts,
+            vec![("a".into(), "1".into()), ("b\"c".into(), r#""v\n""#.into())]
+        );
     }
 }
