@@ -1,26 +1,17 @@
-//! Per-policy oracle for the packed cache's replacement seam: each of the
-//! five [`ReplacementPolicy`] variants is pinned twice —
+//! Hand-computed exact sequences for the packed cache's replacement seam:
+//! each trace's eviction order only comes out right if the policy's
+//! defining mechanism works (SRRIP hit promotion, the deterministic BRRIP
+//! bimodal counter crossing its period, DRRIP set-dueling flipping the
+//! followers, SHiP dead-block prediction and its training edges).
 //!
-//! 1. **Exact sequences**: hand-computed traces whose eviction order only
-//!    comes out right if the policy's defining mechanism works (SRRIP hit
-//!    promotion, the deterministic BRRIP bimodal counter crossing its
-//!    period, DRRIP set-dueling flipping the followers, SHiP dead-block
-//!    prediction and its training edges).
-//! 2. **Fuzzed lockstep**: ≥10k mixed operations per policy against a naive
-//!    slot-stable model written in the simplest possible terms, comparing
-//!    every observable per op — hit/miss, `ready_at`, first-prefetch-use,
-//!    evicted-line identity and flags, residency, and occupancy.
-//!
-//! Mirrors `tlb_stamp_oracle.rs` / `packed_lru_oracle.rs`; the conformance
-//! crate replays the same contract against its own reference models, so a
-//! policy bug has to fool two independently written oracles to land.
+//! These are checks, not a model. The policies' one reference model is the
+//! conformance crate's `RefRripCache` (`RefCache` for LRU), which fuzzes
+//! every policy in lockstep with the production cache; a sequence here
+//! names the mechanism a fuzz divergence would only point at.
 
-use droplet_cache::policy::{
-    DuelRole, BRRIP_LONG_PERIOD, PSEL_INIT, RRPV_LONG, RRPV_MAX, SHCT_ENTRIES, SHCT_INIT, SHCT_MAX,
-};
+use droplet_cache::policy::{DuelRole, BRRIP_LONG_PERIOD};
 use droplet_cache::{ship_signature, CacheConfig, FillInfo, ReplacementPolicy, SetAssocCache};
 use droplet_trace::DataType;
-use proptest::{env_seed, TestRng};
 
 /// A one-set (or few-set) eviction-pressure geometry for `policy`.
 fn tiny(policy: ReplacementPolicy, lines: u64, assoc: usize) -> CacheConfig {
@@ -164,322 +155,4 @@ fn ship_exact_sequence() {
                                                    // round evicts way 0 — not a dead-on-arrival line 4.
     assert_eq!(fill_evicting(&mut c, 8, 8), Some(6));
     assert!(c.contains(4));
-}
-
-// ---------------------------------------------------------------------------
-// Fuzzed lockstep against a naive slot-stable model.
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-struct NaiveLine {
-    line: u64,
-    /// Recency stamp under LRU, RRPV under the RRIP family.
-    key: u64,
-    dirty: bool,
-    prefetched: bool,
-    used: bool,
-    ready_at: u64,
-    sig: u16,
-    reused: bool,
-}
-
-/// The policy contract restated with the simplest structures that can hold
-/// it: per-set fixed slot arrays (victim scans in way order, a new line
-/// lands in the vacated slot), one global tick, and plain policy state.
-struct NaiveCache {
-    policy: ReplacementPolicy,
-    num_sets: u64,
-    sets: Vec<Vec<Option<NaiveLine>>>,
-    tick: u64,
-    psel: u16,
-    brrip_ctr: u64,
-    shct: Vec<u8>,
-}
-
-impl NaiveCache {
-    fn new(policy: ReplacementPolicy, num_sets: u64, assoc: usize) -> Self {
-        NaiveCache {
-            policy,
-            num_sets,
-            sets: vec![vec![None; assoc]; num_sets as usize],
-            tick: 0,
-            psel: PSEL_INIT,
-            brrip_ctr: 0,
-            shct: vec![SHCT_INIT; SHCT_ENTRIES],
-        }
-    }
-
-    fn slot_of(&self, line: u64) -> (usize, Option<usize>) {
-        let s = (line % self.num_sets) as usize;
-        let pos = self.sets[s]
-            .iter()
-            .position(|l| l.is_some_and(|l| l.line == line));
-        (s, pos)
-    }
-
-    fn touch(&mut self, line: u64, now: u64, is_store: bool) -> Option<(u64, bool)> {
-        let (s, pos) = self.slot_of(line);
-        let pos = pos?;
-        let stamp = self.tick;
-        self.tick += 1;
-        let ship = self.policy == ReplacementPolicy::Ship;
-        let e = self.sets[s][pos].as_mut().unwrap();
-        if self.policy == ReplacementPolicy::Lru {
-            e.key = stamp;
-        } else {
-            e.key = 0;
-            if ship && !e.reused {
-                e.reused = true;
-                let sig = e.sig as usize;
-                self.shct[sig] = (self.shct[sig] + 1).min(SHCT_MAX);
-            }
-        }
-        let first = e.prefetched && !e.used;
-        e.used = true;
-        e.dirty |= is_store;
-        Some((e.ready_at.max(now), first))
-    }
-
-    fn insertion_key(&mut self, line: u64, stamp: u64, prefetched: bool, set: usize) -> u64 {
-        let mut effective = self.policy;
-        if effective == ReplacementPolicy::Drrip {
-            effective = match DuelRole::of_set(set, self.num_sets as usize) {
-                DuelRole::SrripLeader => {
-                    if !prefetched {
-                        self.psel = (self.psel + 1).min(droplet_cache::policy::PSEL_MAX);
-                    }
-                    ReplacementPolicy::Srrip
-                }
-                DuelRole::BrripLeader => {
-                    if !prefetched {
-                        self.psel = self.psel.saturating_sub(1);
-                    }
-                    ReplacementPolicy::Brrip
-                }
-                DuelRole::Follower => {
-                    if self.psel >= PSEL_INIT {
-                        ReplacementPolicy::Brrip
-                    } else {
-                        ReplacementPolicy::Srrip
-                    }
-                }
-            };
-        }
-        match effective {
-            ReplacementPolicy::Lru => stamp,
-            ReplacementPolicy::Srrip => RRPV_LONG,
-            ReplacementPolicy::Brrip => {
-                self.brrip_ctr += 1;
-                if self.brrip_ctr.is_multiple_of(BRRIP_LONG_PERIOD) {
-                    RRPV_LONG
-                } else {
-                    RRPV_MAX
-                }
-            }
-            ReplacementPolicy::Ship => {
-                if self.shct[ship_signature(line) as usize] == 0 {
-                    RRPV_MAX
-                } else {
-                    RRPV_LONG
-                }
-            }
-            ReplacementPolicy::Drrip => unreachable!(),
-        }
-    }
-
-    fn fill(
-        &mut self,
-        line: u64,
-        prefetched: bool,
-        ready_at: u64,
-        dirty: bool,
-    ) -> Option<NaiveLine> {
-        let stamp = self.tick;
-        self.tick += 1;
-        let lru = self.policy == ReplacementPolicy::Lru;
-        let (s, pos) = self.slot_of(line);
-        if let Some(pos) = pos {
-            let refresh = if lru { stamp } else { 0 };
-            let e = self.sets[s][pos].as_mut().unwrap();
-            e.key = refresh;
-            e.ready_at = e.ready_at.min(ready_at);
-            e.dirty |= dirty;
-            if !prefetched && e.prefetched && !e.used {
-                e.used = true;
-            }
-            return None;
-        }
-        let slot = match self.sets[s].iter().position(Option::is_none) {
-            Some(i) => i,
-            None if lru => {
-                // Minimum stamp, first way wins ties.
-                (0..self.sets[s].len())
-                    .min_by_key(|&i| self.sets[s][i].unwrap().key)
-                    .unwrap()
-            }
-            None => loop {
-                if let Some(i) = self.sets[s].iter().position(|l| l.unwrap().key >= RRPV_MAX) {
-                    break i;
-                }
-                for l in self.sets[s].iter_mut() {
-                    l.as_mut().unwrap().key += 1;
-                }
-            },
-        };
-        let evicted = self.sets[s][slot].take();
-        if let Some(v) = evicted {
-            if self.policy == ReplacementPolicy::Ship && !v.reused {
-                self.shct[v.sig as usize] = self.shct[v.sig as usize].saturating_sub(1);
-            }
-        }
-        let key = self.insertion_key(line, stamp, prefetched, s);
-        let sig = if self.policy == ReplacementPolicy::Ship {
-            ship_signature(line)
-        } else {
-            0
-        };
-        self.sets[s][slot] = Some(NaiveLine {
-            line,
-            key,
-            dirty,
-            prefetched,
-            used: false,
-            ready_at,
-            sig,
-            reused: false,
-        });
-        evicted
-    }
-
-    fn invalidate(&mut self, line: u64) -> Option<NaiveLine> {
-        let (s, pos) = self.slot_of(line);
-        self.sets[s][pos?].take()
-    }
-
-    fn contains(&self, line: u64) -> bool {
-        self.slot_of(line).1.is_some()
-    }
-
-    fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.is_some()).count())
-            .sum()
-    }
-}
-
-const SEEDS: u64 = 16;
-const OPS_PER_SEED: u64 = 700;
-const MIN_TOTAL_OPS: u64 = 10_000;
-const LINE_SPACE: u64 = 48;
-
-/// Lockstep-fuzzes one (policy, geometry) pair; returns the op count.
-fn fuzz_policy(policy: ReplacementPolicy, lines: u64, assoc: usize) -> u64 {
-    let cfg = tiny(policy, lines, assoc);
-    let num_sets = cfg.num_sets() as u64;
-    let env = env_seed();
-    let mut total = 0u64;
-    for seed in 0..SEEDS {
-        let mut rng = TestRng::from_seed(seed ^ env.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut cache = SetAssocCache::new(cfg.clone());
-        let mut model = NaiveCache::new(policy, num_sets, assoc);
-        for i in 0..OPS_PER_SEED {
-            let op = rng.below(6);
-            let line = rng.below(LINE_SPACE);
-            let now = i;
-            let ctx = || format!("{policy} seed {seed} op #{i} ({op}) line {line}");
-            match op {
-                0 | 1 => {
-                    let is_store = op == 1;
-                    let got = cache.touch(line, now, DataType::Property, is_store);
-                    let want = model.touch(line, now, is_store);
-                    assert_eq!(
-                        got.map(|h| (h.ready_at, h.first_prefetch_use)),
-                        want,
-                        "touch {}",
-                        ctx()
-                    );
-                }
-                2 | 3 => {
-                    let dirty = op == 3;
-                    let info = if dirty {
-                        demand(now).dirty()
-                    } else {
-                        demand(now)
-                    };
-                    let got = cache.fill(line, info);
-                    let want = model.fill(line, false, now, dirty);
-                    assert_eq!(
-                        got.map(|e| (e.line, e.dirty, e.prefetched, e.used)),
-                        want.map(|e| (e.line, e.dirty, e.prefetched, e.used)),
-                        "demand fill {}",
-                        ctx()
-                    );
-                }
-                4 => {
-                    let got = cache.fill(line, FillInfo::prefetch(DataType::Structure, now + 50));
-                    let want = model.fill(line, true, now + 50, false);
-                    assert_eq!(
-                        got.map(|e| (e.line, e.dirty, e.prefetched, e.used)),
-                        want.map(|e| (e.line, e.dirty, e.prefetched, e.used)),
-                        "prefetch fill {}",
-                        ctx()
-                    );
-                }
-                _ => {
-                    let got = cache.invalidate(line);
-                    let want = model.invalidate(line);
-                    assert_eq!(
-                        got.map(|e| (e.line, e.dirty, e.prefetched, e.used)),
-                        want.map(|e| (e.line, e.dirty, e.prefetched, e.used)),
-                        "invalidate {}",
-                        ctx()
-                    );
-                }
-            }
-            assert_eq!(cache.contains(line), model.contains(line), "{}", ctx());
-            total += 1;
-        }
-        assert_eq!(cache.occupancy(), model.occupancy(), "{policy} seed {seed}");
-        for line in 0..LINE_SPACE {
-            assert_eq!(
-                cache.contains(line),
-                model.contains(line),
-                "{policy} seed {seed} residency of {line}"
-            );
-        }
-    }
-    total
-}
-
-/// Every policy, two eviction-heavy geometries, ≥10k ops per policy. The
-/// 4-set shapes give DRRIP a period-4 duel (leaders at sets 0 and 2).
-fn fuzz_policy_all_geometries(policy: ReplacementPolicy) {
-    let ops = fuzz_policy(policy, 8, 2) + fuzz_policy(policy, 16, 4);
-    assert!(ops >= MIN_TOTAL_OPS, "only {ops} ops fuzzed");
-}
-
-#[test]
-fn lru_matches_naive_slot_model() {
-    fuzz_policy_all_geometries(ReplacementPolicy::Lru);
-}
-
-#[test]
-fn srrip_matches_naive_slot_model() {
-    fuzz_policy_all_geometries(ReplacementPolicy::Srrip);
-}
-
-#[test]
-fn brrip_matches_naive_slot_model() {
-    fuzz_policy_all_geometries(ReplacementPolicy::Brrip);
-}
-
-#[test]
-fn drrip_matches_naive_slot_model() {
-    fuzz_policy_all_geometries(ReplacementPolicy::Drrip);
-}
-
-#[test]
-fn ship_matches_naive_slot_model() {
-    fuzz_policy_all_geometries(ReplacementPolicy::Ship);
 }

@@ -160,10 +160,4 @@ impl TraceGen {
         let mut g = TraceGen::new();
         (0..n).map(|_| g.event(rng)).collect()
     }
-
-    /// The whole page universe the generator draws from (for harnesses that
-    /// need to enumerate possible pages).
-    pub fn page_universe() -> std::ops::Range<u64> {
-        STRUCT_BASE..SCRATCH_BASE + SCRATCH_PAGES
-    }
 }

@@ -37,6 +37,17 @@ pub fn small_policy_config(policy: ReplacementPolicy) -> CacheConfig {
     small_cache_config().with_policy(policy)
 }
 
+/// [`small_cache_config`] with 4 ways per set: a victim scan that stops
+/// short of ways 2 and up agrees with the reference in any 2-way set, and
+/// only a wider set tells them apart.
+pub fn wide_cache_config() -> CacheConfig {
+    CacheConfig {
+        size_bytes: 16 * 4 * 64, // 16 sets × 4 ways
+        assoc: 4,
+        ..small_cache_config()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cache
 // ---------------------------------------------------------------------------

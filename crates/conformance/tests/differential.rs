@@ -8,7 +8,7 @@
 use conformance::fuzz_and_verify;
 use conformance::harness::{
     gen_cache_ops, gen_mshr_ops, gen_page_ops, gen_pf_ops, gen_tlb_ops, small_cache_config,
-    small_policy_config, CacheHarness, MshrHarness, PageHarness, PrefetchHarness, TlbHarness,
+    wide_cache_config, CacheHarness, MshrHarness, PageHarness, PrefetchHarness, TlbHarness,
 };
 use conformance::reference::{RefGhb, RefNextLine, RefStream, RefVldp};
 use droplet_cache::{CacheMutation, ReplacementPolicy};
@@ -23,28 +23,24 @@ const MIN_TOTAL_OPS: u64 = 10_000;
 
 #[test]
 fn cache_matches_reference() {
-    let mut h = CacheHarness::new(small_cache_config(), CacheMutation::None);
-    let report = fuzz_and_verify(&mut h, "cache", SEEDS, OPS_PER_SEED, gen_cache_ops);
-    assert!(
-        report.ops >= MIN_TOTAL_OPS,
-        "only {} ops fuzzed",
-        report.ops
-    );
+    policy_matches_reference(ReplacementPolicy::Lru);
 }
 
-/// Every non-LRU replacement policy in lockstep against [`RefRripCache`]
-/// (via `model_for`): same observables as the LRU run — hit/miss, evicted
-/// line identity and flags, residency, occupancy, stats — over the same
-/// graph-shaped op streams.
+/// One replacement policy in lockstep against its reference model (via
+/// `model_for`: `RefCache` for LRU, `RefRripCache` otherwise) — hit/miss,
+/// evicted line identity and flags, residency, occupancy, stats — over the
+/// 2-way and the 4-way geometry, ≥10k ops each.
 fn policy_matches_reference(policy: ReplacementPolicy) {
-    let mut h = CacheHarness::new(small_policy_config(policy), CacheMutation::None);
-    let name = format!("cache-{policy}");
-    let report = fuzz_and_verify(&mut h, &name, SEEDS, OPS_PER_SEED, gen_cache_ops);
-    assert!(
-        report.ops >= MIN_TOTAL_OPS,
-        "only {} ops fuzzed",
-        report.ops
-    );
+    for cfg in [small_cache_config(), wide_cache_config()] {
+        let name = format!("cache-{policy}-{}way", cfg.assoc);
+        let mut h = CacheHarness::new(cfg.with_policy(policy), CacheMutation::None);
+        let report = fuzz_and_verify(&mut h, &name, SEEDS, OPS_PER_SEED, gen_cache_ops);
+        assert!(
+            report.ops >= MIN_TOTAL_OPS,
+            "{name}: only {} ops fuzzed",
+            report.ops
+        );
+    }
 }
 
 #[test]

@@ -13,11 +13,6 @@ fn graph_cache() -> &'static Mutex<HashMap<GraphKey, Arc<Csr>>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Drops all cached graphs (frees memory between experiment suites).
-pub fn clear_graph_cache() {
-    graph_cache().lock().expect("graph cache poisoned").clear();
-}
-
 /// One (algorithm, dataset) cell of the evaluation matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadSpec {
@@ -81,11 +76,6 @@ impl WorkloadSpec {
             .clone()
     }
 
-    /// Builds the trace bundle with the default budget.
-    pub fn build_trace(&self) -> TraceBundle {
-        self.build_trace_with_budget(Self::default_budget(self.scale))
-    }
-
     /// Builds the trace bundle with an explicit op budget.
     pub fn build_trace_with_budget(&self, budget: u64) -> TraceBundle {
         let g = self.build_graph();
@@ -100,15 +90,20 @@ impl WorkloadSpec {
 
 mod disk_cache {
     //! A trivial flat-binary on-disk cache for generated datasets.
-    //! Format: magic, vertex count, edge count, weighted flag, then the
-    //! raw offsets / targets / weights arrays in native endianness. The
-    //! cache is machine-local scratch, not an interchange format.
+    //! Format: magic, vertex count, edge count, weighted flag (four
+    //! little-endian `u64`s), then the sources / targets / weights arrays
+    //! as little-endian `u32`s. The cache is machine-local scratch, not an
+    //! interchange format, but it is still input from disk: a file whose
+    //! header disagrees with its length or whose IDs are out of range is
+    //! rejected, and the graph is regenerated.
 
     use droplet_graph::{Csr, CsrBuilder, Dataset, DatasetScale};
     use std::io::{Read, Write};
     use std::path::PathBuf;
 
-    const MAGIC: u64 = 0xD20B_1E7C_AC4E_u64;
+    pub(super) const MAGIC: u64 = 0xD20B_1E7C_AC4E_u64;
+    /// Magic, vertex count, edge count, weighted flag.
+    const HEADER_BYTES: u64 = 32;
 
     fn cache_path(dataset: Dataset, scale: DatasetScale, weighted: bool) -> Option<PathBuf> {
         // Only Sim-scale graphs are worth disk space and I/O.
@@ -163,18 +158,30 @@ mod disk_cache {
 
     fn try_load(path: &std::path::Path, weighted: bool) -> Option<Csr> {
         let file = std::fs::File::open(path).ok()?;
+        let file_len = file.metadata().ok()?.len();
         let mut r = std::io::BufReader::with_capacity(1 << 20, file);
         if read_u64(&mut r)? != MAGIC {
             return None;
         }
-        let n = read_u64(&mut r)? as u32;
-        let m = read_u64(&mut r)? as usize;
+        let n = u32::try_from(read_u64(&mut r)?).ok()?;
+        let m = read_u64(&mut r)?;
         let has_weights = read_u64(&mut r)? == 1;
         if has_weights != weighted {
             return None;
         }
+        // The header's edge count sizes every array allocation below:
+        // trust it only once the file length agrees with it exactly.
+        let arrays = if has_weights { 3 } else { 2 };
+        let body = m.checked_mul(4 * arrays)?;
+        if HEADER_BYTES.checked_add(body)? != file_len {
+            return None;
+        }
+        let m = usize::try_from(m).ok()?;
         let sources = read_vec_u32(&mut r, m)?;
         let targets = read_vec_u32(&mut r, m)?;
+        if sources.iter().chain(&targets).any(|&v| v >= n) {
+            return None;
+        }
         let weights = if has_weights {
             Some(read_vec_u32(&mut r, m)?)
         } else {
@@ -280,6 +287,36 @@ mod tests {
         // Corrupt magic is rejected.
         std::fs::write(&path, b"garbage").unwrap();
         assert!(disk_cache::load_for_test(&path, false).is_none());
+
+        // Writes a file in `save`'s format from raw header and body words.
+        let forge = |n: u64, m: u64, weighted: bool, body: &[u32]| {
+            let mut bytes = Vec::new();
+            for word in [disk_cache::MAGIC, n, m, u64::from(weighted)] {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            for x in body {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            std::fs::write(&path, bytes).unwrap();
+        };
+        // A consistent forged file loads: one edge 0 -> 1.
+        forge(2, 1, false, &[0, 1]);
+        assert_eq!(
+            disk_cache::load_for_test(&path, false).unwrap().num_edges(),
+            1
+        );
+        // A forged edge count must not size an allocation.
+        forge(2, 1 << 40, false, &[0, 1]);
+        assert!(disk_cache::load_for_test(&path, false).is_none());
+        // A vertex count past u32 must not be truncated.
+        forge(1 << 32, 1, false, &[0, 1]);
+        assert!(disk_cache::load_for_test(&path, false).is_none());
+        // An edge to vertex 7 of a 2-vertex graph.
+        forge(2, 1, false, &[0, 7]);
+        assert!(disk_cache::load_for_test(&path, false).is_none());
+        // A truncated body (the weights array is missing).
+        forge(2, 1, true, &[0, 1]);
+        assert!(disk_cache::load_for_test(&path, true).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -187,6 +187,10 @@ impl<'a> System<'a> {
     /// configuration sharing the same [`SystemConfig::warmup_key`].
     pub fn snapshot(&self) -> SystemSnapshot {
         debug_assert!(
+            !self.pf_enabled,
+            "snapshots are taken at the warm-up boundary, before prefetch goes live"
+        );
+        debug_assert!(
             self.mrb.is_empty(),
             "MRB must be empty at the warm-up boundary under demand-only warm-up"
         );
@@ -201,11 +205,7 @@ impl<'a> System<'a> {
             mshr: self.mshr.clone(),
             same_page: self.same_page,
             stats: self.stats,
-            core_pf: self.core_pf.clone(),
-            mpp: self.mpp.clone(),
-            adaptive: self.adaptive,
             warmup_boundary: self.warmup_boundary,
-            pf_enabled: self.pf_enabled,
         }
     }
 
@@ -213,13 +213,12 @@ impl<'a> System<'a> {
     /// fork-safe knobs (prefetcher wiring, adaptive controller, obs).
     ///
     /// Bit-exactness argument: warm-up is demand-only, so at the boundary
-    /// (a) the predictors, MPP, and adaptive controller are pristine —
-    /// when the fork's prefetcher wiring differs from the parent's they are
-    /// simply built fresh, which is identical to what a from-scratch run
-    /// would hold; (b) the MRB is empty, so it is rebuilt at the fork's
-    /// `mrb_entries`; (c) the sampler never ran, so it starts fresh.
-    /// Everything demand-path — caches, DTLB, page table, DRAM, MSHRs, the
-    /// same-page memo — is restored verbatim.
+    /// (a) the predictors, MPP, and adaptive controller are pristine, and
+    /// the fork builds them fresh from `cfg` — exactly what a from-scratch
+    /// run holds there; (b) the MRB is empty, so it is rebuilt at the
+    /// fork's `mrb_entries`; (c) the sampler never ran, so it starts fresh.
+    /// Only demand-path state — caches, DTLB, page table, DRAM, MSHRs, the
+    /// same-page memo — is restored from the snapshot.
     ///
     /// # Panics
     ///
@@ -245,22 +244,6 @@ impl<'a> System<'a> {
             cfg.warmup_key(),
             "fork requires identical warmup-relevant configuration"
         );
-        let same_wiring = prefetch_wiring_eq(&snap.cfg, cfg);
-        let core_pf = if same_wiring {
-            snap.core_pf.clone()
-        } else {
-            build_core_pf(cfg)
-        };
-        let mpp = if same_wiring {
-            snap.mpp.clone()
-        } else {
-            build_mpp(cfg, bundle)
-        };
-        let adaptive = if same_wiring {
-            snap.adaptive
-        } else {
-            build_adaptive(cfg)
-        };
         let dtlb = match mutation {
             ForkMutation::SkipDtlb => Tlb::new(cfg.dtlb_entries),
             _ => snap.dtlb.clone(),
@@ -281,8 +264,8 @@ impl<'a> System<'a> {
             l3: snap.l3.clone(),
             dram: snap.dram.clone(),
             mrb: Mrb::new(cfg.mrb_entries),
-            core_pf,
-            mpp,
+            core_pf: build_core_pf(cfg),
+            mpp: build_mpp(cfg, bundle),
             cfg: cfg.clone(),
             bundle,
             page_table: snap.page_table.clone(),
@@ -293,10 +276,10 @@ impl<'a> System<'a> {
             mshr: snap.mshr.clone(),
             same_page,
             pf_page_memo: FxHashMap::default(),
-            adaptive,
+            adaptive: build_adaptive(cfg),
             obs: cfg.obs.map(|c| Box::new(ObsRecorder::new(c))),
             warmup_boundary: snap.warmup_boundary,
-            pf_enabled: snap.pf_enabled,
+            pf_enabled: false,
         }
     }
 
@@ -627,15 +610,16 @@ impl<'a> System<'a> {
 
 /// An owned (`'static`) capture of everything in a [`System`] that evolved
 /// during warm-up: page table, DTLB, all cache tags+stamps+meta, DRAM and
-/// MSHR state, predictor state, and statistics. Taken with
-/// [`System::snapshot`] at the warm-up boundary; any configuration sharing
-/// the parent's [`SystemConfig::warmup_key`] can [`System::fork`] from it.
+/// MSHR state, and statistics. Taken with [`System::snapshot`] at the
+/// warm-up boundary; any configuration sharing the parent's
+/// [`SystemConfig::warmup_key`] can [`System::fork`] from it.
 ///
-/// Deliberately *not* captured: the MRB (only prefetch paths fill it, so
-/// it is provably empty at the boundary and is rebuilt at the fork's
-/// capacity), the sampler (measurement-only; `warmup_done` re-anchors it),
-/// and the transient prefetch/candidate buffers (always empty between
-/// accesses).
+/// Deliberately *not* captured: the prefetch engine, MPP and adaptive
+/// controller (warm-up never feeds them, so a fork builds them fresh), the
+/// MRB (only prefetch paths fill it, so it is provably empty at the
+/// boundary and is rebuilt at the fork's capacity), the sampler
+/// (measurement-only; `warmup_done` re-anchors it), and the transient
+/// prefetch/candidate buffers (always empty between accesses).
 #[derive(Clone)]
 pub struct SystemSnapshot {
     cfg: SystemConfig,
@@ -648,19 +632,10 @@ pub struct SystemSnapshot {
     mshr: MshrFile,
     same_page: Option<(u64, PageEntry)>,
     stats: SystemStats,
-    core_pf: Option<Box<dyn Prefetcher>>,
-    mpp: Option<Mpp>,
-    adaptive: Option<AdaptiveState>,
     warmup_boundary: Cycle,
-    pf_enabled: bool,
 }
 
 impl SystemSnapshot {
-    /// The configuration of the system this snapshot was taken from.
-    pub fn parent_cfg(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
     /// The parent's simulated-machine hash (for `forked_from` manifests).
     pub fn parent_config_hash(&self) -> u64 {
         config_hash(&self.cfg)
@@ -738,20 +713,6 @@ fn build_adaptive(cfg: &SystemConfig) -> Option<AdaptiveState> {
         phase: 0,
         probe_data_aware_avg: 0.0,
     })
-}
-
-/// Whether two configurations wire up identical prefetch machinery, so a
-/// fork may reuse the snapshot's predictor state instead of building fresh
-/// engines. (Under demand-only warm-up both paths are bit-identical — the
-/// snapshot's engines are pristine — but reuse keeps the fork path honest
-/// should warm-up ever start feeding them.)
-fn prefetch_wiring_eq(a: &SystemConfig, b: &SystemConfig) -> bool {
-    a.prefetcher == b.prefetcher
-        && a.stream == b.stream
-        && a.ghb == b.ghb
-        && a.vldp == b.vldp
-        && a.mpp == b.mpp
-        && a.adaptive_epoch_misses == b.adaptive_epoch_misses
 }
 
 /// The worst-case latency a *demand* access would pay if it re-issued

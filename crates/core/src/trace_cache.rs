@@ -341,14 +341,6 @@ impl TraceCache {
             .filter(|c| matches!(&*lock_recover(c), Slot::Spilled { .. }))
             .count()
     }
-
-    /// Drops every cached bundle (frees memory between experiment suites).
-    /// Spill artifacts on disk are left behind; a rebuilt entry overwrites
-    /// its artifact on the next spill.
-    pub fn clear(&self) {
-        lock_recover(&self.entries).clear();
-        lock_recover(&self.accounting).resident.clear();
-    }
 }
 
 impl fmt::Debug for TraceCache {
@@ -404,8 +396,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(a.ops.len() < b.ops.len());
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

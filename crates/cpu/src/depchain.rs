@@ -7,7 +7,7 @@
 //! loads participating in chains, the mean chain length, and the
 //! producer/consumer role breakdown by data type (Fig. 6).
 
-use droplet_trace::{DataType, MemOp, OpId};
+use droplet_trace::{DataType, MemOp};
 
 /// Dependency-chain report over one trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -123,15 +123,10 @@ pub fn analyze_chains(ops: &[MemOp], window: u32) -> ChainReport {
     report
 }
 
-/// Convenience: the producer op id of `ops[i]`, for tests.
-pub fn producer_of(ops: &[MemOp], i: usize) -> Option<OpId> {
-    ops[i].producer(OpId(i as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use droplet_trace::{AccessKind, VirtAddr};
+    use droplet_trace::{AccessKind, OpId, VirtAddr};
 
     fn load(id: u64, dtype: DataType, producer: Option<u64>) -> MemOp {
         MemOp::new(

@@ -115,12 +115,6 @@ impl ArrayRegion {
         self.region.base().add_bytes(i * self.elem_bytes)
     }
 
-    /// Address of byte `b` within the region (for sub-element accesses).
-    pub fn addr_of_byte(&self, b: u64) -> VirtAddr {
-        assert!(b < self.region.bytes());
-        self.region.base().add_bytes(b)
-    }
-
     /// The element index containing `addr`, if the address is in range.
     pub fn index_of(&self, addr: VirtAddr) -> Option<u64> {
         if !self.region.contains(addr) {

@@ -11,8 +11,8 @@
 //! implementation kept a reorder-on-touch `Vec` (MRU at the back), which
 //! cost an O(capacity) element shift on *every* hit — measurable at 64–128
 //! entries when the TLB sits on the per-op demand path. The stamp scheme is
-//! pinned to the reorder-on-touch semantics by
-//! `crates/trace/tests/tlb_stamp_oracle.rs`.
+//! pinned to the reorder-on-touch semantics by the conformance suite's
+//! `TlbHarness`, which replays it in lockstep against `RefTlb`.
 
 use crate::page::PageEntry;
 use crate::scan::{find_u64, min_index_u64};
@@ -225,6 +225,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn e(frame: u64) -> PageEntry {
         PageEntry {
@@ -351,5 +352,24 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
         let _ = Tlb::new(0);
+    }
+
+    proptest! {
+        /// `access_entry` agrees with `access` on the hit flag and always
+        /// returns the walked/cached entry.
+        #[test]
+        fn access_entry_is_access_plus_entry(
+            ops in prop::collection::vec(0u64..16, 1..200),
+        ) {
+            let mut a = Tlb::new(4);
+            let mut b = Tlb::new(4);
+            for &vpn in &ops {
+                let (entry, hit) = a.access_entry(vpn, || e(vpn));
+                let want = b.access(vpn, || e(vpn));
+                prop_assert_eq!(hit, want.is_some());
+                prop_assert_eq!(entry, want.unwrap_or_else(|| e(vpn)));
+            }
+            prop_assert_eq!(a.stats(), b.stats());
+        }
     }
 }
