@@ -194,30 +194,45 @@ fn pagerank_digests_are_stable() {
 }
 
 /// BFS with no private L2: the demand path's other branch (L1 → L3 direct),
-/// plus a DROPLET run on the same trace.
+/// plus a DROPLET run on the same trace with the L2. The last three rows
+/// run prefetchers with no L2, so the descent and the prefetch install both
+/// take their no-L2 branches with prefetch live: core-side and MPP fills
+/// stop at the L3, or land in the L1 for the monolithic variant.
 #[test]
 fn bfs_no_l2_digests_are_stable() {
     let g = Arc::new(Dataset::Kron.build(DatasetScale::Tiny));
     let bundle = Algorithm::Bfs.trace(&g, 80_000);
-    let no_l2 = run_workload(
-        &bundle,
-        &SystemConfig::test_scale().with_l2(None),
-        0, // no warm-up: the cold path must stay stable too
+    let no_l2 = SystemConfig::test_scale().with_l2(None);
+    let baseline = run_workload(
+        &bundle, &no_l2, 0, // no warm-up: the cold path must stay stable too
     );
     let droplet = run_workload(
         &bundle,
         &SystemConfig::test_scale().with_prefetcher(PrefetcherKind::Droplet),
         2_000,
     );
-    let runs = [
-        (PrefetcherKind::None, digest(&no_l2)),
+    let mut runs = vec![
+        (PrefetcherKind::None, digest(&baseline)),
         (PrefetcherKind::Droplet, digest(&droplet)),
     ];
-    // DROPLET re-captured for demand-only warm-up; the zero-warm-up
-    // baseline row is untouched (no boundary, nothing gated).
-    const GOLDEN: [(&str, u64); 2] = [
+    for kind in [
+        PrefetcherKind::Stream,
+        PrefetcherKind::Droplet,
+        PrefetcherKind::MonoDropletL1,
+    ] {
+        let r = run_workload(&bundle, &no_l2.with_prefetcher(kind), 2_000);
+        runs.push((kind, digest(&r)));
+    }
+    // DROPLET (with L2) re-captured for demand-only warm-up; the
+    // zero-warm-up baseline row is untouched (no boundary, nothing gated).
+    // The three no-L2 prefetcher rows were captured before the descent and
+    // the prefetch install were each folded into one path.
+    const GOLDEN: [(&str, u64); 5] = [
         ("baseline", 0xbac0a201eba862f6),
         ("DROPLET", 0x51cd4ce369fe8a0c),
+        ("stream", 0x40ebf1114cd423c3),
+        ("DROPLET", 0x5ed70c7ecec77f25),
+        ("monoDROPLETL1", 0x70a8b60ef3ec07f1),
     ];
     check("bfs-no-l2", &runs, &GOLDEN);
 }
