@@ -15,8 +15,7 @@ use droplet_prefetch::{
     Prefetcher, StreamPrefetcher, VldpPrefetcher,
 };
 use droplet_trace::{
-    Cycle, DataType, FxHashMap, MemOp, OpId, PageEntry, PageTable, SliceSource, Tlb, TraceSource,
-    VirtAddr, LINES_PER_PAGE, PAGE_BYTES,
+    Cycle, DataType, MemOp, OpId, PageTable, SliceSource, Tlb, TraceSource, VirtAddr, PAGE_BYTES,
 };
 
 /// Orchestration-level statistics not owned by any single component.
@@ -59,10 +58,6 @@ impl SystemStats {
     }
 }
 
-/// One `pf_page_memo` entry: `(data type, page entry, region-end address)`,
-/// or `None` for pages outside every region.
-type PagePfMemo = Option<(DataType, PageEntry, u64)>;
-
 /// The simulated system; implements [`MemorySystem`] for the core model.
 pub struct System<'a> {
     cfg: SystemConfig,
@@ -81,25 +76,6 @@ pub struct System<'a> {
     mpp_buf: Vec<MppCandidate>,
     /// In-flight demand misses (MSHR occupancy).
     mshr: MshrFile,
-    /// One-entry translation memo: the previous demand access's (vpn,
-    /// entry). Graph traversals are bursty within a page (a vertex's
-    /// neighbor list spans consecutive lines), so consecutive same-page
-    /// accesses skip even the DTLB scan. Safe because nothing else touches
-    /// the DTLB between demand accesses: a memo hit implies the page is the
-    /// DTLB's MRU entry, so the skipped touch could not have changed the
-    /// eviction order, and translations are immutable once created.
-    same_page: Option<(u64, PageEntry)>,
-    /// Per-page translation memo for the prefetch request path: vpn →
-    /// `(data type, page entry, region-end address)`, or `None` for pages
-    /// outside every region. Regions have page-aligned bases and guard
-    /// pages, so a page serves at most one region and one data type — but
-    /// a region's *last* page is only mapped up to `region.end()`, which
-    /// the third field records so tail lines past it still drop as
-    /// unmapped. A pure cache over immutable mappings: rebuilt empty on
-    /// fork rather than snapshotted, and never consulted on the demand
-    /// path (which has its own DTLB + `same_page` memo and must count
-    /// walks).
-    pf_page_memo: FxHashMap<u64, PagePfMemo>,
     /// Demand-promotion latency cap; derived from `cfg` only, computed once.
     promote_budget: Cycle,
     /// Probing controller for the adaptive DROPLET extension.
@@ -172,8 +148,6 @@ impl<'a> System<'a> {
             pf_buf: Vec::with_capacity(64),
             mpp_buf: Vec::with_capacity(64),
             mshr: MshrFile::new(cfg_mshrs),
-            same_page: None,
-            pf_page_memo: FxHashMap::default(),
             adaptive: adaptive_state,
             obs,
             warmup_boundary: 0,
@@ -203,7 +177,6 @@ impl<'a> System<'a> {
             l3: self.l3.clone(),
             dram: self.dram.clone(),
             mshr: self.mshr.clone(),
-            same_page: self.same_page,
             stats: self.stats,
             warmup_boundary: self.warmup_boundary,
         }
@@ -217,8 +190,8 @@ impl<'a> System<'a> {
     /// the fork builds them fresh from `cfg` — exactly what a from-scratch
     /// run holds there; (b) the MRB is empty, so it is rebuilt at the
     /// fork's `mrb_entries`; (c) the sampler never ran, so it starts fresh.
-    /// Only demand-path state — caches, DTLB, page table, DRAM, MSHRs, the
-    /// same-page memo — is restored from the snapshot.
+    /// Only demand-path state — caches, the DTLB with its hit memo, page
+    /// table, DRAM, MSHRs — is restored from the snapshot.
     ///
     /// # Panics
     ///
@@ -248,11 +221,6 @@ impl<'a> System<'a> {
             ForkMutation::SkipDtlb => Tlb::new(cfg.dtlb_entries),
             _ => snap.dtlb.clone(),
         };
-        let same_page = match mutation {
-            // A fresh DTLB invalidates the memo's MRU guarantee too.
-            ForkMutation::SkipDtlb => None,
-            _ => snap.same_page,
-        };
         let l1 = match mutation {
             ForkMutation::SkipL1 => SetAssocCache::new(cfg.l1.clone()),
             _ => snap.l1.clone(),
@@ -274,8 +242,6 @@ impl<'a> System<'a> {
             pf_buf: Vec::with_capacity(64),
             mpp_buf: Vec::with_capacity(64),
             mshr: snap.mshr.clone(),
-            same_page,
-            pf_page_memo: FxHashMap::default(),
             adaptive: build_adaptive(cfg),
             obs: cfg.obs.map(|c| Box::new(ObsRecorder::new(c))),
             warmup_boundary: snap.warmup_boundary,
@@ -363,42 +329,19 @@ impl<'a> System<'a> {
         }
         let reqs = std::mem::take(&mut self.pf_buf);
         let mono = self.cfg.prefetcher.monolithic_l1();
-        // Requests in one batch cluster on a page (a degree-k engine emits k
-        // lines from one trigger), so a one-entry memo in front of the page
-        // map catches most of them.
-        let mut last: Option<(u64, PagePfMemo)> = None;
         for req in &reqs {
+            // A line past its region's end lies in no region, so the tail
+            // of a region's last page drops as unmapped too.
             let vaddr = VirtAddr::new(req.vline * droplet_trace::LINE_BYTES);
-            let vpn = req.vline / LINES_PER_PAGE;
-            let translated = match last {
-                Some((memo_vpn, memo)) if memo_vpn == vpn => memo,
-                _ => {
-                    let looked_up = match self.pf_page_memo.get(&vpn) {
-                        Some(&memo) => memo,
-                        None => {
-                            let page_base = VirtAddr::new(vpn * PAGE_BYTES);
-                            let fresh = self.bundle.space.region_of(page_base).and_then(|region| {
-                                self.page_table
-                                    .lookup(page_base)
-                                    .map(|entry| (region.dtype(), entry, region.end().raw()))
-                            });
-                            self.pf_page_memo.insert(vpn, fresh);
-                            fresh
-                        }
-                    };
-                    last = Some((vpn, looked_up));
-                    looked_up
-                }
-            };
-            let Some((dtype, entry, mapped_until)) = translated else {
+            let translated = self
+                .bundle
+                .space
+                .region_of(vaddr)
+                .and_then(|region| Some((region.dtype(), self.page_table.lookup(vaddr)?)));
+            let Some((dtype, entry)) = translated else {
                 self.stats.prefetch_unmapped_drops += 1;
                 continue;
             };
-            if vaddr.raw() >= mapped_until {
-                // Tail of the region's last page: allocated page, unmapped bytes.
-                self.stats.prefetch_unmapped_drops += 1;
-                continue;
-            }
             let pline =
                 (entry.frame * PAGE_BYTES + vaddr.page_offset()) / droplet_trace::LINE_BYTES;
 
@@ -415,51 +358,55 @@ impl<'a> System<'a> {
 
             // Data-aware requests enter the L3 request queue directly;
             // conventional requests looked up the L2 first (the residency
-            // check above) and then proceed to the L3.
-            if self.l3.contains(pline) {
-                self.l3.mark_tracked(pline, dtype);
-                let ready = now + self.cfg.l3.tag_latency + self.cfg.l3.data_latency;
-                if let Some(l2) = self.l2.as_mut() {
-                    l2.fill(pline, FillInfo::prefetch(dtype, ready));
-                }
-                if mono {
-                    // The L1 copy carries the accuracy bit that gates the
-                    // demand hit path's L3 tag probe.
-                    self.l1
-                        .fill(pline, FillInfo::prefetch(dtype, ready).tracked());
-                }
-                continue;
-            }
-
-            let resp = self
-                .dram
-                .request(pline, now + self.cfg.l3.tag_latency, true);
-            // Track in the MRB; the C-bit marks data-aware streamer
-            // requests, i.e. structure prefetches (Section V-C1).
-            self.mrb.insert(MrbEntry {
-                pline,
-                vline: req.vline,
-                c_bit: req.into_l3_queue,
-                core: 0,
-                complete_at: resp.complete_at,
-            });
-            // The accuracy tag is installed with the L3 fill (the tag lives
-            // at the inclusive level only).
-            self.fill_l3(
-                pline,
-                FillInfo::prefetch(dtype, resp.complete_at).tracked(),
-                now,
-            );
-            if let Some(l2) = self.l2.as_mut() {
-                l2.fill(pline, FillInfo::prefetch(dtype, resp.complete_at));
-            }
-            if mono {
-                self.l1
-                    .fill(pline, FillInfo::prefetch(dtype, resp.complete_at).tracked());
+            // check above). Both pay the L3 tag check.
+            let fetched = self.install_prefetch(pline, dtype, now, self.cfg.l3.tag_latency);
+            if let Some(complete_at) = fetched {
+                // Track in the MRB; the C-bit marks data-aware streamer
+                // requests, i.e. structure prefetches (Section V-C1).
+                self.mrb.insert(MrbEntry {
+                    pline,
+                    vline: req.vline,
+                    c_bit: req.into_l3_queue,
+                    core: 0,
+                    complete_at,
+                });
             }
         }
         self.pf_buf = reqs;
         self.pf_buf.clear();
+    }
+
+    /// Installs one prefetched line, issued at cycle `at` by a source that
+    /// pays `l3_tag` cycles for the LLC tag check. The inclusive LLC is the
+    /// coherence engine: a resident line is copied up from it (and gains
+    /// its accuracy tag there); otherwise the line is fetched from DRAM and
+    /// filled into the LLC with the tag. Either way it then fills the L2,
+    /// and the L1 for the monolithic variant. Returns the DRAM completion
+    /// cycle, or `None` when the LLC supplied the line.
+    fn install_prefetch(
+        &mut self,
+        pline: u64,
+        dtype: DataType,
+        at: Cycle,
+        l3_tag: Cycle,
+    ) -> Option<Cycle> {
+        let (ready, fetched) = if self.l3.mark_tracked(pline, dtype) {
+            (at + l3_tag + self.cfg.l3.data_latency, None)
+        } else {
+            let complete_at = self.dram.request(pline, at + l3_tag, true).complete_at;
+            self.fill_l3(pline, FillInfo::prefetch(dtype, complete_at).tracked(), at);
+            (complete_at, Some(complete_at))
+        };
+        if let Some(l2) = self.l2.as_mut() {
+            l2.fill(pline, FillInfo::prefetch(dtype, ready));
+        }
+        if self.cfg.prefetcher.monolithic_l1() {
+            // The L1 copy carries the accuracy bit that gates the demand
+            // hit path's L3 tag probe.
+            self.l1
+                .fill(pline, FillInfo::prefetch(dtype, ready).tracked());
+        }
+        fetched
     }
 
     /// Drains completed DRAM fills from the MRB and lets the MPP react to
@@ -525,34 +472,12 @@ impl<'a> System<'a> {
                 self.stats.mpp_redundant += 1;
                 continue;
             }
-            if self.l3.contains(pl) {
-                // On-chip: copy from the inclusive LLC into the private L2.
-                self.l3.mark_tracked(pl, DataType::Property);
-                let ready = cand.ready_at + self.cfg.l3.data_latency;
-                if let Some(l2) = self.l2.as_mut() {
-                    l2.fill(pl, FillInfo::prefetch(DataType::Property, ready));
-                }
-                if mono {
-                    self.l1
-                        .fill(pl, FillInfo::prefetch(DataType::Property, ready).tracked());
-                }
+            // The MPP sits at the memory controller: no L3 tag latency.
+            if self
+                .install_prefetch(pl, DataType::Property, cand.ready_at, 0)
+                .is_none()
+            {
                 self.stats.mpp_copied_from_llc += 1;
-            } else {
-                let resp = self.dram.request(pl, cand.ready_at, true);
-                self.fill_l3(
-                    pl,
-                    FillInfo::prefetch(DataType::Property, resp.complete_at).tracked(),
-                    cand.ready_at,
-                );
-                if let Some(l2) = self.l2.as_mut() {
-                    l2.fill(pl, FillInfo::prefetch(DataType::Property, resp.complete_at));
-                }
-                if mono {
-                    self.l1.fill(
-                        pl,
-                        FillInfo::prefetch(DataType::Property, resp.complete_at).tracked(),
-                    );
-                }
             }
         }
         self.mpp_buf = cands;
@@ -609,8 +534,9 @@ impl<'a> System<'a> {
 }
 
 /// An owned (`'static`) capture of everything in a [`System`] that evolved
-/// during warm-up: page table, DTLB, all cache tags+stamps+meta, DRAM and
-/// MSHR state, and statistics. Taken with [`System::snapshot`] at the
+/// during warm-up: page table, DTLB (its hit memo included), all cache
+/// tags+stamps+meta, DRAM and MSHR state, and statistics. `System` keeps no
+/// translation memo of its own. Taken with [`System::snapshot`] at the
 /// warm-up boundary; any configuration sharing the parent's
 /// [`SystemConfig::warmup_key`] can [`System::fork`] from it.
 ///
@@ -630,7 +556,6 @@ pub struct SystemSnapshot {
     l3: SetAssocCache,
     dram: Dram,
     mshr: MshrFile,
-    same_page: Option<(u64, PageEntry)>,
     stats: SystemStats,
     warmup_boundary: Cycle,
 }
@@ -787,28 +712,17 @@ impl System<'_> {
         let dtype = op.dtype();
 
         // Address translation through the DTLB, lazily: the page table is
-        // walked only on a DTLB miss, and a repeat access to the previous
-        // page is resolved from the one-entry memo without even scanning
-        // the DTLB (the page is guaranteed its MRU entry, so the skipped
-        // recency refresh cannot change any future eviction).
-        let vpn = vaddr.page_number();
+        // walked only on a DTLB miss.
         let mut t0 = now;
-        let entry = match self.same_page {
-            Some((memo_vpn, memo_entry)) if memo_vpn == vpn => memo_entry,
-            _ => {
-                let page_table = &mut self.page_table;
-                let space = &self.bundle.space;
-                let (entry, hit) = self
-                    .dtlb
-                    .access_entry(vpn, || page_table.translate(vaddr, space).1);
-                if !hit {
-                    self.stats.dtlb_misses += 1;
-                    t0 += self.cfg.tlb_walk_latency;
-                }
-                self.same_page = Some((vpn, entry));
-                entry
-            }
-        };
+        let page_table = &mut self.page_table;
+        let space = &self.bundle.space;
+        let (entry, hit) = self
+            .dtlb
+            .access_entry(vaddr.page_number(), || page_table.translate(vaddr, space).1);
+        if !hit {
+            self.stats.dtlb_misses += 1;
+            t0 += self.cfg.tlb_walk_latency;
+        }
         let pl = (entry.frame * PAGE_BYTES + vaddr.page_offset()) / droplet_trace::LINE_BYTES;
         let is_structure = entry.structure;
         let mono = self.cfg.prefetcher.monolithic_l1();
@@ -900,17 +814,12 @@ impl System<'_> {
 
         let t1 = t0 + self.cfg.l1.tag_latency;
         let (response, fill_ready) = 'path: {
-            // --- L2 ---
-            if self.l2.is_some() {
-                let l2cfg_data = self.cfg.l2.as_ref().expect("l2 exists").data_latency;
-                let l2cfg_tag = self.cfg.l2.as_ref().expect("l2 exists").tag_latency;
-                if let Some(hit) = self
-                    .l2
-                    .as_mut()
-                    .expect("l2 exists")
-                    .touch(pl, t1, dtype, is_store)
-                {
-                    let complete = (hit.ready_at.max(t1) + l2cfg_data).min(t1 + promote);
+            // --- L2 --- (absent in the Fig. 4b leftmost bar)
+            let mut t2 = t1;
+            if let Some(l2) = self.l2.as_mut() {
+                let (l2_tag, l2_data) = (l2.config().tag_latency, l2.config().data_latency);
+                if let Some(hit) = l2.touch(pl, t1, dtype, is_store) {
+                    let complete = (hit.ready_at.max(t1) + l2_data).min(t1 + promote);
                     // DROPLET's data-aware streamer trains on L2 structure
                     // hits (Fig. 9(b)).
                     let live_data_aware =
@@ -923,14 +832,8 @@ impl System<'_> {
                             dtype,
                         });
                     }
-                    self.l1.fill(pl, {
-                        let f = FillInfo::demand(dtype, complete);
-                        if is_store {
-                            f.dirty()
-                        } else {
-                            f
-                        }
-                    });
+                    let f = FillInfo::demand(dtype, complete);
+                    self.l1.fill(pl, if is_store { f.dirty() } else { f });
                     break 'path (
                         AccessResponse {
                             complete_at: complete,
@@ -939,32 +842,11 @@ impl System<'_> {
                         None,
                     );
                 }
-                let t2 = t1 + l2cfg_tag;
-                // --- L3 ---
-                if let Some(hit) = self.l3.touch(pl, t2, dtype, is_store) {
-                    let complete =
-                        (hit.ready_at.max(t2) + self.cfg.l3.data_latency).min(t2 + promote);
-                    break 'path (
-                        AccessResponse {
-                            complete_at: complete,
-                            level: ServiceLevel::L3,
-                        },
-                        Some(complete),
-                    );
-                }
-                let t3 = t2 + self.cfg.l3.tag_latency;
-                let resp = self.dram.request(pl, t3, false);
-                break 'path (
-                    AccessResponse {
-                        complete_at: resp.complete_at,
-                        level: ServiceLevel::Dram,
-                    },
-                    Some(resp.complete_at),
-                );
+                t2 = t1 + l2_tag;
             }
-            // No private L2 (Fig. 4b leftmost bar).
-            if let Some(hit) = self.l3.touch(pl, t1, dtype, is_store) {
-                let complete = (hit.ready_at.max(t1) + self.cfg.l3.data_latency).min(t1 + promote);
+            // --- L3 ---
+            if let Some(hit) = self.l3.touch(pl, t2, dtype, is_store) {
+                let complete = (hit.ready_at.max(t2) + self.cfg.l3.data_latency).min(t2 + promote);
                 break 'path (
                     AccessResponse {
                         complete_at: complete,
@@ -973,8 +855,7 @@ impl System<'_> {
                     Some(complete),
                 );
             }
-            let t3 = t1 + self.cfg.l3.tag_latency;
-            let resp = self.dram.request(pl, t3, false);
+            let resp = self.dram.request(pl, t2 + self.cfg.l3.tag_latency, false);
             (
                 AccessResponse {
                     complete_at: resp.complete_at,

@@ -47,10 +47,10 @@ pub struct Tlb {
     /// Monotonic recency clock; bumped on every access.
     tick: u64,
     /// Slots of the last two distinct hits, most recent first. Graph
-    /// traversal alternates between regions (offsets → neighbors → ranks),
-    /// and the caller's own same-page memo already filters consecutive
-    /// repeats, so the stream reaching the TLB *alternates* pages — two
-    /// slots catch that pattern where one cannot. The memo is
+    /// traversal repeats a page (consecutive lines of one neighbor list)
+    /// and alternates between regions (offsets → neighbors → ranks): slot
+    /// 0 catches consecutive repeats of a page, and the two slots together
+    /// catch the alternation where one cannot. The memo is
     /// self-validating (the slot's VPN is re-checked on every use), so
     /// evictions and `swap_remove` need no invalidation hooks, and a memo
     /// hit still refreshes the stamp: behaviour is identical to the scan,
