@@ -55,12 +55,12 @@ impl From<std::io::Error> for LoadGraphError {
 /// Reads an edge-list graph from `reader`. Weights in a third column are
 /// used when `weighted` is set (defaulting to 1 if the column is absent);
 /// otherwise they are ignored. Vertex IDs may be sparse: the vertex count
-/// is `max id + 1`.
+/// is `max id + 1`, so an ID must stay below `u32::MAX`.
 ///
 /// # Errors
 ///
-/// Returns [`LoadGraphError::Parse`] on malformed lines and
-/// [`LoadGraphError::Io`] on read failures.
+/// Returns [`LoadGraphError::Parse`] on malformed lines (including an ID of
+/// `u32::MAX`) and [`LoadGraphError::Io`] on read failures.
 ///
 /// # Example
 ///
@@ -89,6 +89,10 @@ pub fn read_edge_list(reader: impl Read, weighted: bool) -> Result<Csr, LoadGrap
                 .map_err(|_| LoadGraphError::Parse(idx + 1, line.clone()))
         };
         let (u, v) = (parse(a)?, parse(b)?);
+        if u == u32::MAX || v == u32::MAX {
+            // `max id + 1` would not fit the vertex count.
+            return Err(LoadGraphError::Parse(idx + 1, line.clone()));
+        }
         let w = match parts.next() {
             Some(ws) if weighted => parse(ws)?,
             _ => 1,
@@ -123,7 +127,8 @@ pub fn load_edge_list(path: impl AsRef<Path>, weighted: bool) -> Result<Csr, Loa
 /// # Errors
 ///
 /// Returns [`LoadGraphError::MissingHeader`] when no `p sp` line precedes
-/// the arcs, and [`LoadGraphError::Parse`] on malformed lines.
+/// the arcs, and [`LoadGraphError::Parse`] on malformed lines, including
+/// arcs whose endpoints lie outside `1..=n`.
 ///
 /// # Example
 ///
@@ -135,7 +140,7 @@ pub fn load_edge_list(path: impl AsRef<Path>, weighted: bool) -> Result<Csr, Loa
 /// assert_eq!(g.edge_weights(0), &[5]);
 /// ```
 pub fn read_dimacs(reader: impl Read) -> Result<Csr, LoadGraphError> {
-    let mut builder: Option<CsrBuilder> = None;
+    let mut builder: Option<(u32, CsrBuilder)> = None;
     for (idx, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
         let text = line.trim();
@@ -147,12 +152,12 @@ pub fn read_dimacs(reader: impl Read) -> Result<Csr, LoadGraphError> {
                 let sp = parts.next();
                 let n = parts.next().and_then(|s| s.parse::<u32>().ok());
                 match (sp, n) {
-                    (Some("sp"), Some(n)) => builder = Some(CsrBuilder::new(n)),
+                    (Some("sp"), Some(n)) => builder = Some((n, CsrBuilder::new(n))),
                     _ => return Err(LoadGraphError::Parse(idx + 1, line.clone())),
                 }
             }
             Some("a") => {
-                let b = builder.as_mut().ok_or(LoadGraphError::MissingHeader)?;
+                let (n, b) = builder.as_mut().ok_or(LoadGraphError::MissingHeader)?;
                 let mut parse_next = || {
                     parts
                         .next()
@@ -160,7 +165,7 @@ pub fn read_dimacs(reader: impl Read) -> Result<Csr, LoadGraphError> {
                         .ok_or_else(|| LoadGraphError::Parse(idx + 1, line.clone()))
                 };
                 let (u, v, w) = (parse_next()?, parse_next()?, parse_next()?);
-                if u == 0 || v == 0 {
+                if u == 0 || v == 0 || u > *n || v > *n {
                     return Err(LoadGraphError::Parse(idx + 1, line.clone()));
                 }
                 b.push_weighted_edge(u - 1, v - 1, w.max(1));
@@ -168,7 +173,7 @@ pub fn read_dimacs(reader: impl Read) -> Result<Csr, LoadGraphError> {
             Some(_) => return Err(LoadGraphError::Parse(idx + 1, line.clone())),
         }
     }
-    let b = builder.ok_or(LoadGraphError::MissingHeader)?;
+    let (_, b) = builder.ok_or(LoadGraphError::MissingHeader)?;
     Ok(b.dedup().build())
 }
 
@@ -210,6 +215,9 @@ mod tests {
         assert!(matches!(err, LoadGraphError::Parse(1, _)), "{err}");
         let err = read_edge_list("0\n".as_bytes(), false).unwrap_err();
         assert!(matches!(err, LoadGraphError::Parse(1, _)));
+        // `max id + 1` overflows the u32 vertex count.
+        let err = read_edge_list("0 4294967295\n".as_bytes(), false).unwrap_err();
+        assert!(matches!(err, LoadGraphError::Parse(1, _)), "{err}");
     }
 
     #[test]
@@ -244,6 +252,9 @@ mod tests {
         assert!(matches!(err, LoadGraphError::Parse(2, _)));
         let err = read_dimacs("p sp 2 1\nz what\n".as_bytes()).unwrap_err();
         assert!(matches!(err, LoadGraphError::Parse(2, _)));
+        // An arc endpoint above the header's vertex count.
+        let err = read_dimacs("p sp 2 1\na 1 5 3\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, LoadGraphError::Parse(2, _)), "{err}");
     }
 
     #[test]
