@@ -164,52 +164,14 @@ impl CoreResult {
 const HIST: usize = 8192;
 const HIST_MASK: usize = HIST - 1;
 
-/// The core simulator.
-#[derive(Debug, Clone)]
-pub struct CoreSim {
-    cfg: CoreConfig,
-}
-
-impl CoreSim {
-    /// Creates a core with the given parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is zero or the ROB exceeds the history ring.
-    pub fn new(cfg: CoreConfig) -> Self {
-        let _ = CoreEngine::new(cfg); // validate
-        CoreSim { cfg }
-    }
-
-    /// The configured parameters.
-    pub fn config(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
-    /// Replays `trace` against `mem`. The first `warmup_ops` operations warm
-    /// the memory system; statistics cover only the remainder (`warmup_ops`
-    /// saturates at the trace length, yielding an empty window).
-    pub fn run(
-        &self,
-        trace: &[MemOp],
-        mem: &mut impl MemorySystem,
-        warmup_ops: usize,
-    ) -> CoreResult {
-        let mut engine = CoreEngine::new(self.cfg);
-        let split = warmup_ops.min(trace.len());
-        engine.warmup(&trace[..split], mem);
-        engine.measure(&trace[split..], mem)
-    }
-}
-
 /// Open measurement window: the accumulators of one measured region.
 ///
 /// Created by [`CoreEngine::open_window`] (which also signals
 /// [`MemorySystem::warmup_done`]), filled by [`CoreEngine::measure_chunk`],
 /// and turned into a [`CoreResult`] by [`CoreEngine::finish`]. The split
-/// exists so callers that need op-by-op control — the conformance lockstep
-/// differ stepping a forked run against a from-scratch run — can drive the
-/// same code path `measure` uses.
+/// lets every runner feed a window block by block, and gives callers that
+/// need op-by-op control — the conformance lockstep differ stepping a
+/// forked run against a from-scratch run — the same code path.
 #[derive(Debug, Clone)]
 pub struct MeasureState {
     stack: CycleStack,
@@ -355,13 +317,6 @@ impl CoreEngine {
             cycle_stack: m.stack,
             mlp: mlp_of_intervals(&m.dram_intervals),
         }
-    }
-
-    /// Opens the window, measures `ops`, and closes the window.
-    pub fn measure(&mut self, ops: &[MemOp], mem: &mut impl MemorySystem) -> CoreResult {
-        let mut m = self.open_window(mem);
-        self.measure_chunk(ops, mem, &mut m);
-        self.finish(m)
     }
 
     /// The timing loop shared by warm-up and measurement; `meas` carries
@@ -529,6 +484,21 @@ mod tests {
     use super::*;
     use droplet_trace::{AccessKind, DataType, VirtAddr};
 
+    /// Replays `trace` through the engine calls every runner makes: the
+    /// first `warmup_ops` ops warm up, the rest are measured.
+    fn replay(
+        cfg: CoreConfig,
+        trace: &[MemOp],
+        mem: &mut impl MemorySystem,
+        warmup_ops: usize,
+    ) -> CoreResult {
+        let mut engine = CoreEngine::new(cfg);
+        engine.warmup(&trace[..warmup_ops], mem);
+        let mut m = engine.open_window(mem);
+        engine.measure_chunk(&trace[warmup_ops..], mem, &mut m);
+        engine.finish(m)
+    }
+
     /// Fixed-latency memory: loads to line < SPLIT hit L1, others go to DRAM.
     struct SplitMem {
         split: u64,
@@ -575,7 +545,7 @@ mod tests {
             dram_latency: 200,
             accesses: 0,
         };
-        let r = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut mem, 0);
+        let r = replay(CoreConfig::baseline(), &trace, &mut mem, 0);
         assert!(r.mlp.avg_outstanding > 4.0, "mlp {}", r.mlp.avg_outstanding);
         // Far faster than serialized (32 × 200).
         assert!(r.cycles < 3200, "cycles {}", r.cycles);
@@ -595,7 +565,7 @@ mod tests {
             dram_latency: 200,
             accesses: 0,
         };
-        let dep = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut mem, 0);
+        let dep = replay(CoreConfig::baseline(), &trace, &mut mem, 0);
 
         // Same loads without the dependency links.
         let free: Vec<MemOp> = trace
@@ -617,7 +587,7 @@ mod tests {
             dram_latency: 200,
             accesses: 0,
         };
-        let ind = CoreSim::new(CoreConfig::baseline()).run(&free, &mut mem2, 0);
+        let ind = replay(CoreConfig::baseline(), &free, &mut mem2, 0);
         assert!(
             dep.cycles > ind.cycles + 150,
             "dependency must cost cycles: {} vs {}",
@@ -637,7 +607,7 @@ mod tests {
                 dram_latency: 300,
                 accesses: 0,
             };
-            CoreSim::new(cfg).run(&trace, &mut mem, 0)
+            replay(cfg, &trace, &mut mem, 0)
         };
         let small = run(CoreConfig::baseline());
         let big = run(CoreConfig::baseline().scaled_window(4));
@@ -658,7 +628,7 @@ mod tests {
                 dram_latency: 300,
                 accesses: 0,
             };
-            CoreSim::new(cfg).run(&chain, &mut mem, 0)
+            replay(cfg, &chain, &mut mem, 0)
         };
         let small_c = run_chain(CoreConfig::baseline());
         let big_c = run_chain(CoreConfig::baseline().scaled_window(4));
@@ -688,7 +658,7 @@ mod tests {
             dram_latency: 200,
             accesses: 0,
         };
-        let r = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut mem, 0);
+        let r = replay(CoreConfig::baseline(), &trace, &mut mem, 0);
         assert!(
             r.cycle_stack.dram_fraction() > 0.4,
             "stack: {}",
@@ -704,7 +674,7 @@ mod tests {
             dram_latency: 200,
             accesses: 0,
         };
-        let r = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut mem, 0);
+        let r = replay(CoreConfig::baseline(), &trace, &mut mem, 0);
         assert!(r.ipc() > 2.0, "ipc {}", r.ipc());
         assert!(r.cycle_stack.busy_fraction() > 0.8);
         assert_eq!(r.instructions, 4000);
@@ -718,7 +688,7 @@ mod tests {
             dram_latency: 100,
             accesses: 0,
         };
-        let r = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut mem, 50);
+        let r = replay(CoreConfig::baseline(), &trace, &mut mem, 50);
         assert_eq!(r.memops, 50);
         assert_eq!(r.instructions, 50);
         assert!(r.cycles > 0);
@@ -742,7 +712,7 @@ mod tests {
             dram_latency: 100,
             accesses: 0,
         };
-        let r = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut mem, 0);
+        let r = replay(CoreConfig::baseline(), &trace, &mut mem, 0);
         // Stores retire at 4/cycle minimum; just confirm no stall explosion
         // and that stores hit the memory system.
         assert_eq!(mem.accesses, 64);

@@ -10,7 +10,7 @@
 //! # Example
 //!
 //! ```
-//! use droplet_cpu::{AccessResponse, CoreConfig, CoreSim, MemorySystem, ServiceLevel};
+//! use droplet_cpu::{AccessResponse, CoreConfig, CoreEngine, MemorySystem, ServiceLevel};
 //! use droplet_trace::{AccessKind, DataType, MemOp, OpId, VirtAddr};
 //!
 //! /// A memory system where everything takes 4 cycles in the L1.
@@ -26,9 +26,14 @@
 //!     .map(|i| MemOp::new(VirtAddr::new(i * 64), AccessKind::Load,
 //!                         DataType::Structure, None, OpId(i), 3))
 //!     .collect();
-//! let result = CoreSim::new(CoreConfig::baseline()).run(&trace, &mut FlatL1, 0);
+//! // Warm up on the first 20 ops, then measure the rest.
+//! let mut engine = CoreEngine::new(CoreConfig::baseline());
+//! engine.warmup(&trace[..20], &mut FlatL1);
+//! let mut window = engine.open_window(&mut FlatL1);
+//! engine.measure_chunk(&trace[20..], &mut FlatL1, &mut window);
+//! let result = engine.finish(window);
 //! assert!(result.cycles > 0);
-//! assert_eq!(result.instructions, 400);
+//! assert_eq!(result.instructions, 320);
 //! ```
 
 pub mod core;
@@ -38,8 +43,7 @@ pub mod mshr;
 pub mod stack;
 
 pub use crate::core::{
-    AccessResponse, CoreConfig, CoreEngine, CoreResult, CoreSim, MeasureState, MemorySystem,
-    ServiceLevel,
+    AccessResponse, CoreConfig, CoreEngine, CoreResult, MeasureState, MemorySystem, ServiceLevel,
 };
 pub use depchain::{analyze_chains, ChainReport};
 pub use mlp::{mlp_of_intervals, MlpStats};
