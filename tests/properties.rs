@@ -2,7 +2,7 @@
 //! cross-crate invariants.
 
 use droplet::{run_workload, PrefetcherKind, SystemConfig};
-use droplet_cache::{CacheConfig, FillInfo, ReuseProfiler, SetAssocCache};
+use droplet_cache::ReuseProfiler;
 use droplet_gap::Algorithm;
 use droplet_graph::{CsrBuilder, DegreeStats};
 use droplet_trace::{AddressSpace, DataType, PageTable, Tlb, VirtAddr};
@@ -42,41 +42,6 @@ proptest! {
         }
         let g = b.dedup().build();
         prop_assert_eq!(g.transpose().transpose(), g);
-    }
-
-    /// LRU cache vs a naive model: hits and misses agree exactly.
-    #[test]
-    fn cache_matches_naive_lru(lines in prop::collection::vec(0u64..64, 1..400)) {
-        let cfg = CacheConfig {
-            name: "t",
-            size_bytes: 16 * 64, // 16 lines
-            assoc: 4,            // 4 sets x 4 ways
-            tag_latency: 1,
-            data_latency: 1,
-            policy: droplet_cache::ReplacementPolicy::Lru,
-        };
-        let sets = cfg.num_sets() as u64;
-        let mut cache = SetAssocCache::new(cfg);
-        // Naive model: per set, a vector in LRU order (front = LRU).
-        let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
-        for (i, &line) in lines.iter().enumerate() {
-            let set = (line % sets) as usize;
-            let model_hit = model[set].contains(&line);
-            let got_hit = cache.touch(line, i as u64, DataType::Property, false).is_some();
-            prop_assert_eq!(got_hit, model_hit, "access #{} line {}", i, line);
-            if model_hit {
-                let pos = model[set].iter().position(|&l| l == line).unwrap();
-                model[set].remove(pos);
-                model[set].push(line);
-            } else {
-                cache.fill(line, FillInfo::demand(DataType::Property, i as u64));
-                if model[set].len() == 4 {
-                    model[set].remove(0);
-                }
-                model[set].push(line);
-            }
-        }
-        prop_assert_eq!(cache.occupancy(), model.iter().map(Vec::len).sum::<usize>());
     }
 
     /// Reuse profiler against the quadratic oracle.
