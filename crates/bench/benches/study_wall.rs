@@ -45,17 +45,7 @@ fn main() {
     // simulation, not graph/trace construction.
     let specs = WorkloadSpec::matrix(ctx.scale);
     let build = Instant::now();
-    let ctx_ref = &ctx;
-    ctx.pool.run(
-        specs
-            .iter()
-            .map(|spec| {
-                move || {
-                    ctx_ref.trace(spec);
-                }
-            })
-            .collect(),
-    );
+    ctx.build_traces(&specs);
     println!(
         "traces: {} bundles built in {} ms",
         specs.len(),

@@ -16,9 +16,7 @@ use droplet::obs::ObsConfig;
 use droplet::report::Table;
 use droplet::specparse;
 use droplet::trace::{columnar, open_columnar, TraceSource};
-use droplet::{
-    run_sweep, run_workload, run_workload_from, PrefetcherKind, RunResult, SweepCell, WorkloadSpec,
-};
+use droplet::{run_workload_from, PrefetcherKind, RunResult, WorkloadSpec};
 use droplet_cache::ReplacementPolicy;
 use droplet_gap::Algorithm;
 use droplet_graph::{Dataset, DatasetScale, DegreeStats};
@@ -393,41 +391,27 @@ fn main() {
             );
             if cmd == "run" {
                 let kind = args.prefetcher.unwrap_or(PrefetcherKind::Droplet);
-                let (base, main_run) = if kind != PrefetcherKind::None {
-                    // Two configs sharing one hierarchy: share the warm-up.
-                    let cells = vec![
-                        SweepCell {
-                            bundle: std::sync::Arc::clone(&bundle),
-                            cfg: ctx.base.clone(),
-                        },
-                        SweepCell {
-                            bundle: std::sync::Arc::clone(&bundle),
-                            cfg: ctx.base.with_prefetcher(kind),
-                        },
-                    ];
-                    let mut out = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
-                    let r = out.pop().expect("two sweep results");
-                    let base = out.pop().expect("two sweep results");
-                    (base, Some(r))
-                } else {
-                    (run_workload(&bundle, &ctx.base, ctx.warmup), None)
-                };
-                report("baseline (no prefetch)", &base);
-                if let Some(r) = &main_run {
+                // The baseline, plus the configuration under test sharing
+                // its warm-up unless that is the baseline itself.
+                let mut cfgs = vec![ctx.base.clone()];
+                if kind != PrefetcherKind::None {
+                    cfgs.push(ctx.base.with_prefetcher(kind));
+                }
+                let runs = ctx.run_grid(&[spec], &cfgs).remove(0);
+                let (base, main_run) = (&runs[0], runs.get(1));
+                report("baseline (no prefetch)", base);
+                if let Some(r) = main_run {
                     report(kind.name(), r);
                     println!(
                         "\nspeedup over baseline: {:.2}x",
                         base.core.cycles as f64 / r.core.cycles.max(1) as f64
                     );
                 }
-                let mut all: Vec<&RunResult> = vec![&base];
-                all.extend(main_run.as_ref());
-                report_fork_note(&all);
+                report_fork_note(&runs.iter().collect::<Vec<_>>());
                 if let Some(path) = &args.obs_path {
                     // Journal the configuration under test (the baseline
                     // when `--prefetcher none` made it the only run).
-                    let r = main_run.as_ref().unwrap_or(&base);
-                    write_journal(path, r, &spec.label(), &ctx);
+                    write_journal(path, main_run.unwrap_or(base), &spec.label(), &ctx);
                 }
             } else {
                 let mut t = Table::new(vec![
@@ -440,15 +424,10 @@ fn main() {
                 let mut kinds = PrefetcherKind::EVALUATED.to_vec();
                 kinds.push(PrefetcherKind::AdaptiveDroplet);
                 // Baseline plus every prefetcher over one shared warm-up.
-                let mut cells = vec![SweepCell {
-                    bundle: std::sync::Arc::clone(&bundle),
-                    cfg: ctx.base.clone(),
-                }];
-                cells.extend(kinds.iter().map(|&k| SweepCell {
-                    bundle: std::sync::Arc::clone(&bundle),
-                    cfg: ctx.base.with_prefetcher(k),
-                }));
-                let all = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
+                let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
+                    .chain(kinds.iter().map(|&k| ctx.base.with_prefetcher(k)))
+                    .collect();
+                let all = ctx.run_grid(&[spec], &cfgs).remove(0);
                 let (base, results) = (&all[0], &all[1..]);
                 for (kind, r) in kinds.iter().zip(results) {
                     t.row(vec![

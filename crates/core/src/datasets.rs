@@ -1,16 +1,16 @@
 //! The workload matrix: 5 algorithms × 5 datasets (paper Tables II & III),
 //! with trace construction and per-scale op budgets.
 
+use crate::once_map::OnceMap;
 use droplet_gap::{Algorithm, TraceBundle};
 use droplet_graph::{Csr, Dataset, DatasetScale};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 type GraphKey = (Dataset, DatasetScale, bool);
 
-fn graph_cache() -> &'static Mutex<HashMap<GraphKey, Arc<Csr>>> {
-    static CACHE: OnceLock<Mutex<HashMap<GraphKey, Arc<Csr>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+fn graph_cache() -> &'static OnceMap<GraphKey, Csr> {
+    static CACHE: OnceLock<OnceMap<GraphKey, Csr>> = OnceLock::new();
+    CACHE.get_or_init(OnceMap::default)
 }
 
 /// One (algorithm, dataset) cell of the evaluation matrix.
@@ -59,21 +59,13 @@ impl WorkloadSpec {
     /// it). Graphs are cached process-wide — five algorithms share each
     /// dataset — and persisted to an on-disk cache (`target/dataset-cache`,
     /// overridable via `DROPLET_DATASET_CACHE`) so separate bench processes
-    /// do not regenerate multi-minute Sim-scale graphs.
+    /// do not regenerate multi-minute Sim-scale graphs. Each graph builds
+    /// in its own cell, so one slow build never delays another dataset's.
     pub fn build_graph(&self) -> Arc<Csr> {
         let weighted = self.algorithm.needs_weights();
-        let key = (self.dataset, self.scale, weighted);
-        let mut cache = graph_cache().lock().expect("graph cache poisoned");
-        cache
-            .entry(key)
-            .or_insert_with(|| {
-                Arc::new(disk_cache::load_or_build(
-                    self.dataset,
-                    self.scale,
-                    weighted,
-                ))
-            })
-            .clone()
+        graph_cache().get_or_build((self.dataset, self.scale, weighted), || {
+            disk_cache::load_or_build(self.dataset, self.scale, weighted)
+        })
     }
 
     /// Builds the trace bundle with an explicit op budget.

@@ -9,11 +9,9 @@
 use crate::config::PrefetcherKind;
 use crate::datasets::WorkloadSpec;
 use crate::experiments::ExperimentCtx;
-use crate::fork::{run_sweep, SweepCell};
 use crate::report::Table;
 use droplet_gap::Algorithm;
 use droplet_graph::Dataset;
-use std::sync::Arc;
 
 /// One row of the decoupling ablation.
 #[derive(Debug, Clone)]
@@ -89,41 +87,16 @@ pub fn ablation_decoupling(ctx: &ExperimentCtx) -> DecouplingAblation {
             });
         }
     }
-    ctx.pool.run(
-        specs
-            .iter()
-            .map(|spec| {
-                move || {
-                    ctx.trace(spec);
-                }
-            })
-            .collect(),
-    );
-
-    let kind_cfgs: Vec<_> = DECOUPLING_KINDS
-        .iter()
-        .map(|&k| ctx.base.with_prefetcher(k))
+    let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
+        .chain(
+            DECOUPLING_KINDS
+                .iter()
+                .map(|&k| ctx.base.with_prefetcher(k)),
+        )
         .collect();
-    let mut cells = Vec::new();
-    for &spec in &specs {
-        let bundle = ctx.trace(&spec);
-        cells.push(SweepCell {
-            bundle: Arc::clone(&bundle),
-            cfg: ctx.base.clone(),
-        });
-        for cfg in &kind_cfgs {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&bundle),
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    let results = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
-
-    let stride = 1 + DECOUPLING_KINDS.len();
     let rows = specs
         .iter()
-        .zip(results.chunks(stride))
+        .zip(ctx.run_grid(&specs, &cfgs))
         .map(|(spec, group)| {
             let base_cycles = group[0].core.cycles;
             let mut speedups = [0.0; 4];
@@ -218,25 +191,11 @@ pub fn ablation_mpp_sizing(ctx: &ExperimentCtx) -> SizingAblation {
         }
     }
 
-    let mut cells = Vec::new();
-    for &spec in &specs {
-        let bundle = ctx.trace(&spec);
-        cells.push(SweepCell {
-            bundle: Arc::clone(&bundle),
-            cfg: ctx.base.clone(),
-        });
-        for (_, _, cfg) in &sized_cfgs {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&bundle),
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    let results = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
-
-    let stride = 1 + sized_cfgs.len();
+    let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
+        .chain(sized_cfgs.iter().map(|(_, _, cfg)| cfg.clone()))
+        .collect();
     let mut rows = Vec::new();
-    for (spec, group) in specs.iter().zip(results.chunks(stride)) {
+    for (spec, group) in specs.iter().zip(ctx.run_grid(&specs, &cfgs)) {
         let base_cycles = group[0].core.cycles;
         for ((vab_pab, mtlb, _), r) in sized_cfgs.iter().zip(&group[1..]) {
             rows.push(SizingRow {

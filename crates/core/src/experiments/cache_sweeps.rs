@@ -2,10 +2,8 @@
 
 use crate::datasets::WorkloadSpec;
 use crate::experiments::ExperimentCtx;
-use crate::fork::{run_sweep, SweepCell};
 use crate::report::{geomean, pct, Table};
 use droplet_trace::DataType;
-use std::sync::Arc;
 
 /// One LLC capacity point of the Fig. 4a sweep.
 #[derive(Debug, Clone)]
@@ -64,17 +62,6 @@ fn size_label(bytes: u64) -> String {
 /// over `ctx.pool`, with bundles shared through the trace cache.
 pub fn fig04a_llc_sweep(ctx: &ExperimentCtx) -> Fig04a {
     let specs = WorkloadSpec::matrix(ctx.scale);
-    ctx.pool.run(
-        specs
-            .iter()
-            .map(|spec| {
-                move || {
-                    ctx.trace(spec);
-                }
-            })
-            .collect(),
-    );
-
     let cfgs: Vec<_> = ctx
         .llc_sweep()
         .into_iter()
@@ -85,32 +72,24 @@ pub fn fig04a_llc_sweep(ctx: &ExperimentCtx) -> Fig04a {
         })
         .collect();
     // Every capacity has its own warmup-relevant key (the L3 shape changes
-    // the warmed state), so run_sweep degrades to full replay here; going
+    // the warmed state), so the grid degrades to full replay here; going
     // through it anyway keeps the drivers on one code path.
-    let mut cells = Vec::new();
-    for cfg in &cfgs {
-        for &spec in &specs {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&ctx.trace(&spec)),
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    let results = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
+    let grid = ctx.run_grid(&specs, &cfgs);
 
-    // The first chunk is the base-capacity point speedups are measured
-    // against.
+    // The first configuration is the base-capacity point speedups are
+    // measured against.
     let n = specs.len();
-    let base_cycles: Vec<u64> = results[..n].iter().map(|r| r.core.cycles).collect();
+    let base_cycles: Vec<u64> = grid.iter().map(|row| row[0].core.cycles).collect();
     let mut points = Vec::new();
-    for (cfg, chunk) in cfgs.iter().zip(results.chunks(n)) {
+    for (c, cfg) in cfgs.iter().enumerate() {
+        let chunk: Vec<_> = grid.iter().map(|row| &row[c]).collect();
         let speedups: Vec<f64> = chunk
             .iter()
             .zip(&base_cycles)
             .map(|(r, &b)| b as f64 / r.core.cycles.max(1) as f64)
             .collect();
         let mut offchip = [0.0f64; 3];
-        for r in chunk {
+        for r in &chunk {
             for dt in DataType::ALL {
                 offchip[dt.index()] += r.offchip_fraction(dt) / n as f64;
             }
@@ -195,48 +174,25 @@ impl Fig04b {
 /// over `ctx.pool`, with bundles shared through the trace cache.
 pub fn fig04b_l2_sweep(ctx: &ExperimentCtx) -> Fig04b {
     let specs = WorkloadSpec::matrix(ctx.scale);
-    ctx.pool.run(
-        specs
-            .iter()
-            .map(|spec| {
-                move || {
-                    ctx.trace(spec);
-                }
-            })
-            .collect(),
-    );
-
-    let cfgs: Vec<_> = ctx
-        .l2_sweep()
-        .into_iter()
-        .map(|(label, l2)| (label, ctx.base.clone().with_l2(l2)))
+    let sweep = ctx.l2_sweep();
+    // The base configuration first (the speedup reference), then one per
+    // swept point. L2 shape is warmup-relevant, so each configuration forms
+    // its own group; the shared-warmup fast path only kicks in for cells
+    // that agree on the hierarchy (e.g. the duplicated base point).
+    let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
+        .chain(
+            sweep
+                .iter()
+                .map(|(_, l2)| ctx.base.clone().with_l2(l2.clone())),
+        )
         .collect();
-    // The baseline-cycles chunk (base L2 point) first, then one chunk per
-    // swept configuration.
-    // L2 shape is warmup-relevant, so each configuration forms its own
-    // group; the shared-warmup fast path only kicks in for cells that agree
-    // on the hierarchy (e.g. the duplicated base point).
-    let mut cells: Vec<SweepCell> = specs
-        .iter()
-        .map(|&spec| SweepCell {
-            bundle: Arc::clone(&ctx.trace(&spec)),
-            cfg: ctx.base.clone(),
-        })
-        .collect();
-    for (_, cfg) in &cfgs {
-        for &spec in &specs {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&ctx.trace(&spec)),
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    let results = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
+    let grid = ctx.run_grid(&specs, &cfgs);
 
     let n = specs.len();
-    let base_cycles: Vec<u64> = results[..n].iter().map(|r| r.core.cycles).collect();
+    let base_cycles: Vec<u64> = grid.iter().map(|row| row[0].core.cycles).collect();
     let mut points = Vec::new();
-    for ((label, _), chunk) in cfgs.into_iter().zip(results[n..].chunks(n)) {
+    for (c, (label, _)) in sweep.into_iter().enumerate() {
+        let chunk: Vec<_> = grid.iter().map(|row| &row[c + 1]).collect();
         let speedups: Vec<f64> = chunk
             .iter()
             .zip(&base_cycles)

@@ -116,30 +116,25 @@ impl Fig03 {
 }
 
 /// Runs the Fig. 3 experiment over the full workload matrix; the
-/// independent per-workload cells fan out over `ctx.pool`.
+/// independent (workload, window) cells fan out over `ctx.pool`.
 pub fn fig03_rob_sweep(ctx: &ExperimentCtx) -> Fig03 {
-    let big_cfg = ctx.base.clone().with_window_scale(4);
-    let rows = ctx.pool.run(
-        WorkloadSpec::matrix(ctx.scale)
-            .into_iter()
-            .map(|spec| {
-                let big_cfg = &big_cfg;
-                move || {
-                    let bundle = ctx.trace(&spec);
-                    let base = run_workload(&bundle, &ctx.base, ctx.warmup);
-                    let big = run_workload(&bundle, big_cfg, ctx.warmup);
-                    Fig03Row {
-                        label: spec.label(),
-                        bw_base: base.bandwidth_utilization(),
-                        bw_big: big.bandwidth_utilization(),
-                        speedup: base.core.cycles as f64 / big.core.cycles.max(1) as f64,
-                        mlp_base: base.core.mlp.avg_outstanding,
-                        mlp_big: big.core.mlp.avg_outstanding,
-                    }
-                }
-            })
-            .collect(),
-    );
+    let specs = WorkloadSpec::matrix(ctx.scale);
+    let cfgs = [ctx.base.clone(), ctx.base.clone().with_window_scale(4)];
+    let rows = specs
+        .iter()
+        .zip(ctx.run_grid(&specs, &cfgs))
+        .map(|(spec, group)| {
+            let (base, big) = (&group[0], &group[1]);
+            Fig03Row {
+                label: spec.label(),
+                bw_base: base.bandwidth_utilization(),
+                bw_big: big.bandwidth_utilization(),
+                speedup: base.core.cycles as f64 / big.core.cycles.max(1) as f64,
+                mlp_base: base.core.mlp.avg_outstanding,
+                mlp_big: big.core.mlp.avg_outstanding,
+            }
+        })
+        .collect();
     Fig03 { rows }
 }
 
@@ -316,25 +311,21 @@ impl Fig07 {
 /// Runs the Fig. 7 experiment (baseline configuration); the per-workload
 /// cells fan out over `ctx.pool`.
 pub fn fig07_hierarchy_usage(ctx: &ExperimentCtx) -> Fig07 {
-    let rows = ctx.pool.run(
-        WorkloadSpec::matrix(ctx.scale)
-            .into_iter()
-            .map(|spec| {
-                move || {
-                    let bundle = ctx.trace(&spec);
-                    let r = run_workload(&bundle, &ctx.base, ctx.warmup);
-                    let mut breakdown = [[0.0; 4]; 3];
-                    for dt in DataType::ALL {
-                        breakdown[dt.index()] = r.service_breakdown(dt);
-                    }
-                    Fig07Row {
-                        label: spec.label(),
-                        breakdown,
-                    }
-                }
-            })
-            .collect(),
-    );
+    let specs = WorkloadSpec::matrix(ctx.scale);
+    let rows = specs
+        .iter()
+        .zip(ctx.run_grid(&specs, std::slice::from_ref(&ctx.base)))
+        .map(|(spec, group)| {
+            let mut breakdown = [[0.0; 4]; 3];
+            for dt in DataType::ALL {
+                breakdown[dt.index()] = group[0].service_breakdown(dt);
+            }
+            Fig07Row {
+                label: spec.label(),
+                breakdown,
+            }
+        })
+        .collect();
     Fig07 { rows }
 }
 

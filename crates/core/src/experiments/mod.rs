@@ -25,7 +25,9 @@ pub use reuse::tab_reuse_distances;
 
 use crate::config::SystemConfig;
 use crate::datasets::WorkloadSpec;
+use crate::fork::{run_sweep, SweepCell};
 use crate::pool::JobPool;
+use crate::system::RunResult;
 use crate::trace_cache::TraceCache;
 use droplet_cache::{CacheConfig, ReplacementPolicy};
 use droplet_gap::TraceBundle;
@@ -39,7 +41,9 @@ use std::sync::Arc;
 ///
 /// The context also carries the process-shared [`TraceCache`] (clones share
 /// it) and the [`JobPool`] the drivers fan their independent simulation
-/// cells over; `DROPLET_THREADS=1` forces fully serial execution.
+/// cells over; `DROPLET_THREADS=1` forces fully serial execution. The
+/// study drivers run their (workload, configuration) cells through
+/// [`ExperimentCtx::run_grid`].
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx {
     /// Dataset scale to build.
@@ -151,6 +155,36 @@ impl ExperimentCtx {
         self.traces.get_or_build(*spec, self.budget)
     }
 
+    /// The bundles of `specs`, in order, built through the shared cache
+    /// with one pool job per spec.
+    pub fn build_traces(&self, specs: &[WorkloadSpec]) -> Vec<Arc<TraceBundle>> {
+        self.pool
+            .run(specs.iter().map(|spec| move || self.trace(spec)).collect())
+    }
+
+    /// Every (workload, configuration) cell of the grid: `out[s][c]` is
+    /// `specs[s]` run under `cfgs[c]`. The bundles are built first, then
+    /// all cells go through one [`run_sweep`] (sharing warm-ups when
+    /// [`ExperimentCtx::fork_sweeps`] is on), so the results equal
+    /// per-cell `run_workload` at any pool width.
+    pub fn run_grid(&self, specs: &[WorkloadSpec], cfgs: &[SystemConfig]) -> Vec<Vec<RunResult>> {
+        let bundles = self.build_traces(specs);
+        let cells: Vec<SweepCell> = bundles
+            .iter()
+            .flat_map(|bundle| {
+                cfgs.iter().map(|cfg| SweepCell {
+                    bundle: Arc::clone(bundle),
+                    cfg: cfg.clone(),
+                })
+            })
+            .collect();
+        let mut results = run_sweep(&self.pool, &cells, self.warmup, self.fork_sweeps).into_iter();
+        specs
+            .iter()
+            .map(|_| results.by_ref().take(cfgs.len()).collect())
+            .collect()
+    }
+
     /// The four-point LLC capacity sweep of Fig. 4a: the base LLC scaled
     /// ×1/×2/×4/×8 with the CACTI-style latency growth of Table I's notes.
     pub fn llc_sweep(&self) -> Vec<CacheConfig> {
@@ -189,5 +223,55 @@ impl ExperimentCtx {
             (label(b, base.assoc * 2), Some(sized(b, base.assoc * 2))),
             (label(b, base.assoc * 4), Some(sized(b, base.assoc * 4))),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PrefetcherKind;
+    use crate::system::run_workload;
+    use droplet_gap::Algorithm;
+    use droplet_graph::Dataset;
+
+    #[test]
+    fn run_grid_cells_equal_per_cell_replay() {
+        let specs = [
+            (Algorithm::Pr, Dataset::Kron),
+            (Algorithm::Bfs, Dataset::Road),
+        ]
+        .map(|(algorithm, dataset)| WorkloadSpec {
+            algorithm,
+            dataset,
+            scale: DatasetScale::Tiny,
+        });
+        let mut ctx = ExperimentCtx::tiny();
+        ctx.budget = 30_000;
+        ctx.warmup = 7_500;
+        // The first two share a warm-up (the prefetcher is inert before
+        // it); dropping the L2 changes the warmed hierarchy.
+        let cfgs = [
+            ctx.base.clone(),
+            ctx.base.with_prefetcher(PrefetcherKind::Droplet),
+            ctx.base.clone().with_l2(None),
+        ];
+        for fork in [true, false] {
+            for threads in [1, 4] {
+                let ctx = ctx.clone().with_threads(threads).with_fork_sweeps(fork);
+                let grid = ctx.run_grid(&specs, &cfgs);
+                assert_eq!(grid.len(), specs.len());
+                for (s, row) in grid.iter().enumerate() {
+                    assert_eq!(row.len(), cfgs.len());
+                    for (c, r) in row.iter().enumerate() {
+                        let replay = run_workload(&ctx.trace(&specs[s]), &cfgs[c], ctx.warmup);
+                        assert_eq!(
+                            r.digest(),
+                            replay.digest(),
+                            "cell [{s}][{c}], fork {fork}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -15,12 +15,10 @@
 use crate::datasets::WorkloadSpec;
 use crate::experiments::reuse::l1_filtered_profile;
 use crate::experiments::ExperimentCtx;
-use crate::fork::{run_sweep, SweepCell};
 use crate::report::{geomean, kv_footer, pct, Table};
 use crate::system::RunResult;
 use droplet_cache::{ReplacementPolicy, ReuseReport};
 use droplet_trace::DataType;
-use std::sync::Arc;
 
 /// The non-LRU policies the laboratory evaluates, in table order.
 pub const STUDY_POLICIES: [ReplacementPolicy; 4] = [
@@ -122,44 +120,15 @@ pub fn run_policy_study_on(
 ) -> PolicyStudy {
     let wall = std::time::Instant::now();
 
-    // Warm the shared trace cache in parallel before the sweep fans out.
-    ctx.pool.run(
-        specs
-            .iter()
-            .map(|spec| {
-                move || {
-                    ctx.trace(spec);
-                }
-            })
-            .collect(),
-    );
-
-    let mut cells: Vec<SweepCell> = Vec::new();
-    for spec in specs {
-        let bundle = ctx.trace(spec);
-        cells.push(SweepCell {
-            bundle: Arc::clone(&bundle),
-            cfg: ctx.base.clone(),
-        });
-        for &p in policies {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&bundle),
-                cfg: ctx.base.clone().with_l3_policy(p),
-            });
-        }
-        for &p in policies {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&bundle),
-                cfg: ctx.base.clone().with_l2_policy(p),
-            });
-        }
-    }
-    let results = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
+    let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
+        .chain(policies.iter().map(|&p| ctx.base.clone().with_l3_policy(p)))
+        .chain(policies.iter().map(|&p| ctx.base.clone().with_l2_policy(p)))
+        .collect();
+    let grid = ctx.run_grid(specs, &cfgs);
 
     let mut baselines = Vec::new();
     let mut rows = Vec::new();
-    let stride = 1 + 2 * policies.len();
-    for (spec, group) in specs.iter().zip(results.chunks(stride)) {
+    for (spec, group) in specs.iter().zip(&grid) {
         let label = spec.label();
         let base_cycles = group[0].core.cycles;
         baselines.push(row_from(
@@ -200,7 +169,7 @@ pub fn run_policy_study_on(
             ("threads", ctx.pool.threads().to_string()),
             ("workloads", specs.len().to_string()),
             ("policies", policies.len().to_string()),
-            ("cells", cells.len().to_string()),
+            ("cells", (specs.len() * cfgs.len()).to_string()),
             ("forked", ctx.fork_sweeps.to_string()),
             (
                 "wall_ms",

@@ -5,13 +5,11 @@
 use crate::config::PrefetcherKind;
 use crate::datasets::WorkloadSpec;
 use crate::experiments::ExperimentCtx;
-use crate::fork::{run_sweep, SweepCell};
 use crate::report::{geomean, kv_footer, pct, Table};
 use crate::system::RunResult;
 use droplet_gap::Algorithm;
 use droplet_trace::DataType;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Metrics of one (workload, configuration) run.
 #[derive(Debug, Clone)]
@@ -86,47 +84,18 @@ pub fn run_study(ctx: &ExperimentCtx, kinds: &[PrefetcherKind]) -> PrefetchStudy
     let wall = std::time::Instant::now();
     let specs = WorkloadSpec::matrix(ctx.scale);
 
-    // Phase 1 — warm the shared trace cache, one parallel build per unique
-    // bundle, so phase-2 workers never serialize on a bundle build.
-    ctx.pool.run(
-        specs
-            .iter()
-            .map(|spec| {
-                move || {
-                    ctx.trace(spec);
-                }
-            })
-            .collect(),
-    );
-
-    // One derived configuration per evaluated kind, shared by every
-    // workload cell instead of being re-derived per cell.
-    let cfgs: Vec<_> = kinds.iter().map(|&k| ctx.base.with_prefetcher(k)).collect();
-
-    // Phase 2 — every (workload, configuration) cell, baseline first so
-    // speedups can be assembled from the ordered results. The sweep runner
-    // warms each workload once and forks the per-configuration measurement
-    // regions out (all cells of a workload share a warmup-relevant prefix).
-    let mut cells: Vec<SweepCell> = Vec::new();
-    for &spec in &specs {
-        let bundle = ctx.trace(&spec);
-        cells.push(SweepCell {
-            bundle: Arc::clone(&bundle),
-            cfg: ctx.base.clone(),
-        });
-        for cfg in &cfgs {
-            cells.push(SweepCell {
-                bundle: Arc::clone(&bundle),
-                cfg: cfg.clone(),
-            });
-        }
-    }
-    let results = run_sweep(&ctx.pool, &cells, ctx.warmup, ctx.fork_sweeps);
+    // Every (workload, configuration) cell, baseline first so speedups can
+    // be assembled from each workload's row. All cells of a workload share
+    // a warmup-relevant prefix, so the grid warms each workload once and
+    // forks the per-configuration measurement regions out.
+    let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
+        .chain(kinds.iter().map(|&k| ctx.base.with_prefetcher(k)))
+        .collect();
+    let grid = ctx.run_grid(&specs, &cfgs);
 
     let mut baselines = Vec::new();
     let mut rows = Vec::new();
-    let stride = 1 + kinds.len();
-    for (spec, group) in specs.iter().zip(results.chunks(stride)) {
+    for (spec, group) in specs.iter().zip(&grid) {
         let base_cycles = group[0].core.cycles;
         baselines.push(row_from(&group[0], spec, PrefetcherKind::None, base_cycles));
         for (r, &kind) in group[1..].iter().zip(kinds) {
@@ -142,7 +111,7 @@ pub fn run_study(ctx: &ExperimentCtx, kinds: &[PrefetcherKind]) -> PrefetchStudy
             ("threads", ctx.pool.threads().to_string()),
             ("workloads", specs.len().to_string()),
             ("configs", kinds.len().to_string()),
-            ("cells", cells.len().to_string()),
+            ("cells", (specs.len() * cfgs.len()).to_string()),
             ("forked", ctx.fork_sweeps.to_string()),
             (
                 "wall_ms",

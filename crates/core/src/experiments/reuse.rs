@@ -99,16 +99,17 @@ pub(crate) fn l1_filtered_profile(
     profiler
 }
 
-/// Computes reuse-distance profiles over the workload matrix.
+/// Computes reuse-distance profiles over the workload matrix, whose traces
+/// come from the shared cache.
 pub fn tab_reuse_distances(ctx: &ExperimentCtx) -> ReuseTable {
     let cache_lines = [
         ctx.base.l1.num_lines(),
         ctx.base.l2.as_ref().map_or(0, |c| c.num_lines()),
         ctx.base.l3.num_lines(),
     ];
+    let specs = WorkloadSpec::matrix(ctx.scale);
     let mut rows = Vec::new();
-    for spec in WorkloadSpec::matrix(ctx.scale) {
-        let bundle = spec.build_trace_with_budget(ctx.budget);
+    for (spec, bundle) in specs.iter().zip(ctx.build_traces(&specs)) {
         let profiler = l1_filtered_profile(&bundle.ops, &ctx.base.l1);
         let mut capturable = [[0.0; 3]; 3];
         let mut mean_log2 = [0.0; 3];

@@ -34,6 +34,7 @@ pub mod config;
 pub mod datasets;
 pub mod experiments;
 pub mod fork;
+mod once_map;
 pub mod overhead;
 pub mod pool;
 pub mod report;

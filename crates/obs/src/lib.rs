@@ -635,10 +635,10 @@ pub struct RunManifest {
     /// For forked runs: the warm-up op count inherited from the shared
     /// snapshot.
     pub warmup_shared: Option<u64>,
-    /// Bundles tracked by the driver's trace cache (resident + spilled),
-    /// when the driver runs one.
+    /// Bundles tracked by the driver's trace cache, when the driver runs
+    /// one.
     pub trace_cache_len: Option<u64>,
-    /// Resident (non-spilled) trace-op bytes in the driver's trace cache.
+    /// Trace-op bytes of the bundles in the driver's trace cache.
     pub trace_cache_bytes: Option<u64>,
 }
 

@@ -457,7 +457,6 @@ impl ServerState {
                 json::object(&[
                     ("len", self.traces.len().to_string()),
                     ("resident_bytes", self.traces.resident_bytes().to_string()),
-                    ("spilled", self.traces.spilled_len().to_string()),
                 ]),
             ),
         ])

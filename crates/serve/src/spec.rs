@@ -107,12 +107,26 @@ impl RunSpec {
             }
         }
         let scale = scale.unwrap_or(default_scale);
+        let budget = budget.unwrap_or_else(|| WorkloadSpec::default_budget(scale));
+        if let Some(n) = epoch_ops {
+            // The journal ring keeps `max_epochs` epochs and a follower
+            // replays every streamed line, so a finer cadence would hold
+            // up to one line per op.
+            let max_epochs = ObsConfig::default().max_epochs as u64;
+            if n < budget.div_ceil(max_epochs).max(1) {
+                return Err(SpecError {
+                    field: "epoch_ops".to_string(),
+                    value: n.to_string(),
+                    expected: "at least ceil(budget / 4096): a journal keeps 4096 epochs",
+                });
+            }
+        }
         Ok(RunSpec {
             algorithm: algo.ok_or_else(|| missing_field("algo"))?,
             dataset: dataset.ok_or_else(|| missing_field("dataset"))?,
             scale,
             prefetcher: prefetcher.unwrap_or(PrefetcherKind::Droplet),
-            budget: budget.unwrap_or_else(|| WorkloadSpec::default_budget(scale)),
+            budget,
             epoch_ops,
             l1_policy: policies[0],
             l2_policy: policies[1],
@@ -253,6 +267,21 @@ mod tests {
         assert_eq!(e.field, "turbo");
         let e = RunSpec::parse("not json", DatasetScale::Tiny).unwrap_err();
         assert_eq!(e.field, "body");
+        // A run records at most one journal ring (4,096 epochs), so at
+        // budget 30,000 the cadence must be at least 8 ops.
+        let with_epochs = |n: u64| {
+            RunSpec::parse(
+                &format!(
+                    r#"{{"algo": "pr", "dataset": "kron", "budget": 30000, "epoch_ops": {n}}}"#
+                ),
+                DatasetScale::Tiny,
+            )
+        };
+        for n in [0, 1, 7] {
+            let e = with_epochs(n).unwrap_err();
+            assert_eq!((e.field.as_str(), e.value), ("epoch_ops", n.to_string()));
+        }
+        assert_eq!(with_epochs(8).unwrap().epoch_ops, Some(8));
     }
 
     #[test]

@@ -162,7 +162,17 @@ fn spec_rejection_matches_cli_diagnostics() {
     assert_eq!(field(&body, "field"), "algo");
     let (status, _, _) = request(&addr, "POST", "/run", "not json at all").unwrap();
     assert_eq!(status, 400);
-    assert_eq!(server.state().stats.rejects.load(Ordering::Relaxed), 3);
+    // One epoch per op would hold a streamed line per op for followers.
+    let (status, _, body) = request(
+        &addr,
+        "POST",
+        "/run",
+        r#"{"algo": "bfs", "dataset": "kron", "scale": "tiny", "budget": 30000, "epoch_ops": 1}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(field(&body, "field"), "epoch_ops");
+    assert_eq!(server.state().stats.rejects.load(Ordering::Relaxed), 4);
     assert_eq!(server.state().stats.engine_runs.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
