@@ -107,13 +107,24 @@ impl RunSpec {
             }
         }
         let scale = scale.unwrap_or(default_scale);
-        let budget = budget.unwrap_or_else(|| WorkloadSpec::default_budget(scale));
-        if let Some(n) = epoch_ops {
+        let spec = RunSpec {
+            algorithm: algo.ok_or_else(|| missing_field("algo"))?,
+            dataset: dataset.ok_or_else(|| missing_field("dataset"))?,
+            scale,
+            prefetcher: prefetcher.unwrap_or(PrefetcherKind::Droplet),
+            budget: budget.unwrap_or_else(|| WorkloadSpec::default_budget(scale)),
+            epoch_ops,
+            l1_policy: policies[0],
+            l2_policy: policies[1],
+            l3_policy: policies[2],
+            prefetchers,
+        };
+        if let Some(n) = spec.epoch_ops {
             // The journal ring keeps `max_epochs` epochs and a follower
             // replays every streamed line, so a finer cadence would hold
             // up to one line per op.
             let max_epochs = ObsConfig::default().max_epochs as u64;
-            if n < budget.div_ceil(max_epochs).max(1) {
+            if n < spec.budget.div_ceil(max_epochs).max(1) {
                 return Err(SpecError {
                     field: "epoch_ops".to_string(),
                     value: n.to_string(),
@@ -121,18 +132,7 @@ impl RunSpec {
                 });
             }
         }
-        Ok(RunSpec {
-            algorithm: algo.ok_or_else(|| missing_field("algo"))?,
-            dataset: dataset.ok_or_else(|| missing_field("dataset"))?,
-            scale,
-            prefetcher: prefetcher.unwrap_or(PrefetcherKind::Droplet),
-            budget,
-            epoch_ops,
-            l1_policy: policies[0],
-            l2_policy: policies[1],
-            l3_policy: policies[2],
-            prefetchers,
-        })
+        Ok(spec)
     }
 
     /// The workload this spec names.
