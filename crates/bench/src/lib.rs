@@ -11,6 +11,7 @@ pub mod bench_json;
 
 use droplet::experiments::ExperimentCtx;
 use droplet::graph::DatasetScale;
+use droplet::specparse::{parse_scale, parse_u64};
 
 /// Builds the experiment context from the environment.
 ///
@@ -19,18 +20,15 @@ use droplet::graph::DatasetScale;
 /// Panics if `DROPLET_SCALE` is set to an unknown value or
 /// `DROPLET_BUDGET` is not a number.
 pub fn ctx_from_env() -> ExperimentCtx {
-    let scale = match std::env::var("DROPLET_SCALE").as_deref() {
-        Ok("tiny") => DatasetScale::Tiny,
-        Ok("small") => DatasetScale::Small,
-        Ok("sim") | Err(_) => DatasetScale::Sim,
-        Ok(other) => panic!("unknown DROPLET_SCALE {other:?} (want tiny/small/sim)"),
+    let scale = match std::env::var("DROPLET_SCALE") {
+        Ok(v) => parse_scale("DROPLET_SCALE", &v).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => DatasetScale::Sim,
     };
-    let mut ctx = ExperimentCtx::at(scale);
-    if let Ok(budget) = std::env::var("DROPLET_BUDGET") {
-        ctx.budget = budget.parse().expect("DROPLET_BUDGET must be an integer");
-        ctx.warmup = (ctx.budget / 4) as usize;
+    let ctx = ExperimentCtx::at(scale);
+    match std::env::var("DROPLET_BUDGET") {
+        Ok(v) => ctx.with_budget(parse_u64("DROPLET_BUDGET", &v).unwrap_or_else(|e| panic!("{e}"))),
+        Err(_) => ctx,
     }
-    ctx
 }
 
 /// Prints the standard bench banner.

@@ -56,10 +56,6 @@ impl Prefetcher for RefNextLine {
     fn issued(&self) -> u64 {
         self.issued
     }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
 }
 
 /// Reference G/DC GHB: the miss history is an unbounded `Vec` (absolute
@@ -176,10 +172,6 @@ impl Prefetcher for RefGhb {
 
     fn issued(&self) -> u64 {
         self.issued
-    }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 
@@ -388,10 +380,6 @@ impl Prefetcher for RefVldp {
     fn issued(&self) -> u64 {
         self.issued
     }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -565,10 +553,6 @@ impl Prefetcher for RefStream {
 
     fn issued(&self) -> u64 {
         self.issued
-    }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 
     fn set_data_aware(&mut self, on: bool) {

@@ -14,11 +14,9 @@
 use droplet::experiments::ExperimentCtx;
 use droplet::obs::ObsConfig;
 use droplet::report::Table;
-use droplet::specparse;
+use droplet::specparse::{self, RunSpec, SpecValue};
 use droplet::trace::{columnar, open_columnar, TraceSource};
-use droplet::{run_workload_from, PrefetcherKind, RunResult, WorkloadSpec};
-use droplet_cache::ReplacementPolicy;
-use droplet_gap::Algorithm;
+use droplet::{run_workload_from, PrefetcherKind, RunResult, SpecError};
 use droplet_graph::{Dataset, DatasetScale, DegreeStats};
 use droplet_trace::DataType;
 
@@ -38,7 +36,8 @@ fn usage() -> ! {
          \x20 droplet-sim info\n\
          \x20 --threads overrides DROPLET_THREADS (default: all cores; 1 = fully serial)\n\
          \x20 --obs enables epoch sampling and writes the JSONL run journal there\n\
-         \x20 --epoch-ops sets retired ops per epoch (default 10000; implies sampling was wanted)\n\
+         \x20 --epoch-ops sets retired ops per epoch (default 10000, at least ceil(budget / 4096);\n\
+         \x20   implies sampling was wanted)\n\
          \x20 --fork-sweep/--no-fork: share one warm-up simulation across same-hierarchy configs\n\
          \x20   (default: on for multi-config invocations; results are bit-identical either way)\n\
          \x20 --l1-policy/--l2-policy/--l3-policy: replacement policy per level (default lru)"
@@ -46,51 +45,34 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Unwraps a shared-spec-parse result, printing the offending flag and
-/// value to stderr (the same field-level message `droplet-serve` returns
-/// as an HTTP 400) before the usage text.
-fn flag_value<T>(parsed: Result<T, droplet::SpecError>) -> T {
+/// Unwraps a spec-parse result, printing the offending flag and value to
+/// stderr (the field-level message `droplet-serve` returns as an HTTP 400,
+/// under the flag's own name) before the usage text.
+fn flag_value<T>(parsed: Result<T, SpecError>) -> T {
     parsed.unwrap_or_else(|e| {
+        let e = SpecError {
+            field: e.field.replace('_', "-"),
+            ..e
+        };
         eprintln!("error: --{e}");
         usage()
     })
 }
 
+/// What only the CLI has; every other flag is a [`RunSpec`] field.
 #[derive(Default)]
 struct Args {
-    algo: Option<Algorithm>,
-    dataset: Option<Dataset>,
-    prefetcher: Option<PrefetcherKind>,
-    scale: Option<DatasetScale>,
-    budget: Option<u64>,
     threads: Option<usize>,
     obs_path: Option<String>,
-    epoch_ops: Option<u64>,
     fork: Option<bool>,
     trace_file: Option<String>,
-    l1_policy: Option<ReplacementPolicy>,
-    l2_policy: Option<ReplacementPolicy>,
-    l3_policy: Option<ReplacementPolicy>,
 }
 
-impl Args {
-    /// Applies the per-level replacement-policy overrides to `base`.
-    fn apply_policies(&self, mut base: droplet::SystemConfig) -> droplet::SystemConfig {
-        if let Some(p) = self.l1_policy {
-            base = base.with_l1_policy(p);
-        }
-        if let Some(p) = self.l2_policy {
-            base = base.with_l2_policy(p);
-        }
-        if let Some(p) = self.l3_policy {
-            base = base.with_l3_policy(p);
-        }
-        base
-    }
-}
-
-fn parse_flags(rest: &[String]) -> Args {
+/// Splits the flags into the CLI's own [`Args`] and the [`RunSpec`] the
+/// rest describe: `--l1-policy brrip` is the spec field `l1_policy`.
+fn parse_flags(rest: &[String]) -> (Args, RunSpec) {
     let mut args = Args::default();
+    let mut fields = Vec::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         // Boolean flags take no value.
@@ -109,44 +91,30 @@ fn parse_flags(rest: &[String]) -> Args {
             eprintln!("error: {flag}: missing value");
             usage()
         };
-        // Field names match the droplet-serve spec fields, so the CLI and
-        // the HTTP 400 responses report identical diagnostics.
         match flag.as_str() {
-            "--algo" => args.algo = Some(flag_value(specparse::parse_algo("algo", value))),
-            "--dataset" => {
-                args.dataset = Some(flag_value(specparse::parse_dataset("dataset", value)))
-            }
-            "--prefetcher" => {
-                args.prefetcher = Some(flag_value(specparse::parse_prefetcher("prefetcher", value)))
-            }
-            "--scale" => args.scale = Some(flag_value(specparse::parse_scale("scale", value))),
-            "--budget" => args.budget = Some(flag_value(specparse::parse_u64("budget", value))),
             "--threads" => {
                 args.threads = Some(flag_value(specparse::parse_positive_usize(
                     "threads", value,
                 )))
             }
             "--obs" => args.obs_path = Some(value.clone()),
-            "--epoch-ops" => {
-                args.epoch_ops = Some(flag_value(specparse::parse_u64("epoch-ops", value)))
-            }
             "--trace-file" => args.trace_file = Some(value.clone()),
-            "--l1-policy" => {
-                args.l1_policy = Some(flag_value(specparse::parse_policy("l1-policy", value)))
-            }
-            "--l2-policy" => {
-                args.l2_policy = Some(flag_value(specparse::parse_policy("l2-policy", value)))
-            }
-            "--l3-policy" => {
-                args.l3_policy = Some(flag_value(specparse::parse_policy("l3-policy", value)))
-            }
             _ => {
-                eprintln!("error: {flag}: unknown flag");
-                usage()
+                let Some(name) = flag.strip_prefix("--") else {
+                    eprintln!("error: {flag}: unknown flag");
+                    usage()
+                };
+                fields.push((name.replace('-', "_"), SpecValue::Scalar(value.clone())));
             }
         }
     }
-    args
+    // A journal without an explicit cadence samples at the default one.
+    if args.obs_path.is_some() && !fields.iter().any(|(field, _)| field == "epoch_ops") {
+        let every = ObsConfig::default().epoch_ops.to_string();
+        fields.push(("epoch_ops".to_string(), SpecValue::Scalar(every)));
+    }
+    let spec = flag_value(RunSpec::from_fields(&fields, DatasetScale::Small));
+    (args, spec)
 }
 
 /// Prints the shared-warm-up NOTE when any of the runs was forked from a
@@ -270,28 +238,17 @@ fn cmd_info() {
 /// `trace save` / `trace load`: write a workload's op stream as a columnar
 /// artifact, or replay one zero-copy from its mapped bytes. Both rebuild
 /// the bundle (load needs the address space and functional memory, which
-/// the artifact deliberately does not carry); load verifies the artifact's
-/// content digest against the rebuilt ops before replaying.
-fn cmd_trace(sub: &str, args: &Args) {
-    let (Some(algo), Some(dataset)) = (args.algo, args.dataset) else {
-        usage()
-    };
+/// the artifact deliberately does not carry). Before replaying, load
+/// decodes every block and checks the stored digest against the decoded
+/// ops, then checks it against the rebuilt ops.
+fn cmd_trace(sub: &str, args: &Args, spec: &RunSpec) {
     let Some(file) = &args.trace_file else {
         usage()
     };
-    let scale = args.scale.unwrap_or(DatasetScale::Small);
-    let mut ctx = ExperimentCtx::at(scale);
-    if let Some(b) = args.budget {
-        ctx.budget = b;
-        ctx.warmup = (b / 4) as usize;
-    }
-    let spec = WorkloadSpec {
-        algorithm: algo,
-        dataset,
-        scale,
-    };
-    eprintln!("building {} at {scale:?} scale...", spec.label());
-    let bundle = ctx.trace(&spec);
+    let ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
+    let workload = spec.workload();
+    eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
+    let bundle = ctx.trace(&workload);
     match sub {
         "save" => {
             let encoded = columnar::encode(&bundle.ops);
@@ -313,6 +270,12 @@ fn cmd_trace(sub: &str, args: &Args) {
                 eprintln!("cannot open {file}: {e}");
                 std::process::exit(1);
             });
+            // The replay decodes blocks lazily and cannot recover from a
+            // bad one, so every block is checked up front.
+            if let Err(e) = columnar::decode(source.backing().as_ref()) {
+                eprintln!("cannot load {file}: {e}");
+                std::process::exit(1);
+            }
             let expect = columnar::content_digest(&bundle.ops);
             if source.digest() != expect {
                 eprintln!(
@@ -332,14 +295,9 @@ fn cmd_trace(sub: &str, args: &Args) {
                     "owned buffer fallback"
                 }
             );
-            let kind = args.prefetcher.unwrap_or(PrefetcherKind::Droplet);
-            let cfg = args.apply_policies(if kind == PrefetcherKind::None {
-                ctx.base.clone()
-            } else {
-                ctx.base.with_prefetcher(kind)
-            });
+            let cfg = spec.config(&ctx.base);
             let r = run_workload_from(&mut source, &bundle, &cfg, ctx.warmup);
-            report(&format!("{} (columnar replay)", kind.name()), &r);
+            report(&format!("{} (columnar replay)", spec.prefetcher.name()), &r);
         }
         _ => usage(),
     }
@@ -352,56 +310,40 @@ fn main() {
         "info" => cmd_info(),
         "trace" => {
             let Some(sub) = argv.get(2) else { usage() };
-            let args = parse_flags(&argv[3..]);
-            cmd_trace(sub, &args);
+            let (args, spec) = parse_flags(&argv[3..]);
+            cmd_trace(sub, &args, &spec);
         }
         "run" | "sweep" => {
-            let args = parse_flags(&argv[2..]);
-            let (Some(algo), Some(dataset)) = (args.algo, args.dataset) else {
-                usage()
-            };
-            let scale = args.scale.unwrap_or(DatasetScale::Small);
-            let mut ctx = ExperimentCtx::at(scale);
-            if let Some(b) = args.budget {
-                ctx.budget = b;
-                ctx.warmup = (b / 4) as usize;
-            }
+            let (args, spec) = parse_flags(&argv[2..]);
+            let mut ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
             if let Some(n) = args.threads {
                 ctx = ctx.with_threads(n);
             }
             if let Some(fork) = args.fork {
                 ctx = ctx.with_fork_sweeps(fork);
             }
-            if args.obs_path.is_some() || args.epoch_ops.is_some() {
-                ctx.base.obs = Some(ObsConfig::every(args.epoch_ops.unwrap_or(10_000)));
-            }
-            ctx.base = args.apply_policies(ctx.base.clone());
-            let spec = WorkloadSpec {
-                algorithm: algo,
-                dataset,
-                scale,
-            };
-            eprintln!("building {} at {scale:?} scale...", spec.label());
-            let bundle = ctx.trace(&spec);
+            let workload = spec.workload();
+            eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
+            let bundle = ctx.trace(&workload);
             eprintln!(
                 "trace: {} ops ({} instructions), completed: {}",
                 bundle.ops.len(),
                 bundle.instructions,
                 bundle.completed
             );
+            let baseline = spec.config_for(&ctx.base, PrefetcherKind::None);
             if cmd == "run" {
-                let kind = args.prefetcher.unwrap_or(PrefetcherKind::Droplet);
                 // The baseline, plus the configuration under test sharing
                 // its warm-up unless that is the baseline itself.
-                let mut cfgs = vec![ctx.base.clone()];
-                if kind != PrefetcherKind::None {
-                    cfgs.push(ctx.base.with_prefetcher(kind));
+                let mut cfgs = vec![baseline];
+                if spec.prefetcher != PrefetcherKind::None {
+                    cfgs.push(spec.config(&ctx.base));
                 }
-                let runs = ctx.run_grid(&[spec], &cfgs).remove(0);
+                let runs = ctx.run_grid(&[workload], &cfgs).remove(0);
                 let (base, main_run) = (&runs[0], runs.get(1));
                 report("baseline (no prefetch)", base);
                 if let Some(r) = main_run {
-                    report(kind.name(), r);
+                    report(spec.prefetcher.name(), r);
                     println!(
                         "\nspeedup over baseline: {:.2}x",
                         base.core.cycles as f64 / r.core.cycles.max(1) as f64
@@ -411,7 +353,7 @@ fn main() {
                 if let Some(path) = &args.obs_path {
                     // Journal the configuration under test (the baseline
                     // when `--prefetcher none` made it the only run).
-                    write_journal(path, main_run.unwrap_or(base), &spec.label(), &ctx);
+                    write_journal(path, main_run.unwrap_or(base), &workload.label(), &ctx);
                 }
             } else {
                 let mut t = Table::new(vec![
@@ -424,10 +366,10 @@ fn main() {
                 let mut kinds = PrefetcherKind::EVALUATED.to_vec();
                 kinds.push(PrefetcherKind::AdaptiveDroplet);
                 // Baseline plus every prefetcher over one shared warm-up.
-                let cfgs: Vec<_> = std::iter::once(ctx.base.clone())
-                    .chain(kinds.iter().map(|&k| ctx.base.with_prefetcher(k)))
+                let cfgs: Vec<_> = std::iter::once(baseline)
+                    .chain(kinds.iter().map(|&k| spec.config_for(&ctx.base, k)))
                     .collect();
-                let all = ctx.run_grid(&[spec], &cfgs).remove(0);
+                let all = ctx.run_grid(&[workload], &cfgs).remove(0);
                 let (base, results) = (&all[0], &all[1..]);
                 for (kind, r) in kinds.iter().zip(results) {
                     t.row(vec![

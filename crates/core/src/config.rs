@@ -3,6 +3,7 @@
 
 use droplet_cache::{CacheConfig, ReplacementPolicy};
 use droplet_cpu::CoreConfig;
+use droplet_graph::DatasetScale;
 use droplet_mem::DramConfig;
 use droplet_obs::ObsConfig;
 use droplet_prefetch::{GhbConfig, MppConfig, StreamConfig, VldpConfig};
@@ -286,43 +287,50 @@ impl SystemConfig {
     /// working sets exceed the LLC, property working sets exceed the L2),
     /// so the paper's qualitative behaviours reproduce in milliseconds.
     pub fn test_scale() -> Self {
+        Self::shrunk([1024, 8 * 1024, 16 * 1024], 4, 16, 10_000)
+    }
+
+    /// The base machine for graphs of `scale`: the Table I baseline at Sim
+    /// scale, [`SystemConfig::test_scale`] at Tiny scale, and a hierarchy
+    /// shrunk ~32× for Small graphs (~32 K vertices). All three use the
+    /// conventional streamer and no prefetcher.
+    pub fn for_scale(scale: DatasetScale) -> Self {
+        match scale {
+            DatasetScale::Sim => Self::baseline(),
+            DatasetScale::Tiny => Self::test_scale(),
+            DatasetScale::Small => Self::shrunk([4 * 1024, 32 * 1024, 256 * 1024], 16, 64, 25_000),
+        }
+    }
+
+    /// The Table I baseline with L1/L2/L3 capacities of `cache_bytes` (the
+    /// associativities and latencies stay) and the prefetch machinery
+    /// scaled down with them.
+    fn shrunk(
+        cache_bytes: [u64; 3],
+        stream_trackers: usize,
+        mpp_entries: usize,
+        adaptive_epoch_misses: u64,
+    ) -> Self {
         let mut cfg = Self::baseline();
-        cfg.l1 = CacheConfig {
-            name: "L1D",
-            size_bytes: 1024,
-            assoc: 8,
-            tag_latency: 1,
-            data_latency: 4,
-            policy: ReplacementPolicy::Lru,
-        };
-        cfg.l2 = Some(CacheConfig {
-            name: "L2",
-            size_bytes: 8 * 1024,
-            assoc: 8,
-            tag_latency: 3,
-            data_latency: 8,
-            policy: ReplacementPolicy::Lru,
+        let [l1, l2, l3] = cache_bytes;
+        cfg.l1.size_bytes = l1;
+        cfg.l2 = cfg.l2.map(|c| CacheConfig {
+            size_bytes: l2,
+            ..c
         });
-        cfg.l3 = CacheConfig {
-            name: "L3",
-            size_bytes: 16 * 1024,
-            assoc: 16,
-            tag_latency: 10,
-            data_latency: 30,
-            policy: ReplacementPolicy::Lru,
-        };
-        // Tiny datasets have few pages; scale the stream trackers down too
+        cfg.l3.size_bytes = l3;
+        // Small datasets have few pages; scale the stream trackers down too
         // so tracker contention (Section V-B1) stays observable.
-        cfg.stream.trackers = 4;
+        cfg.stream.trackers = stream_trackers;
         // Prefetch lookahead must scale with L2 turnover, or timely lines
         // die before use in the miniature hierarchy.
         cfg.stream.distance = 8;
         cfg.stream.degree = 2;
         // Scale the MPP's VAB/PAB occupancy bound with the hierarchy so
         // outstanding property prefetches cannot thrash the whole LLC.
-        cfg.mpp.vab_entries = 16;
-        cfg.mpp.pab_entries = 16;
-        cfg.adaptive_epoch_misses = 10_000;
+        cfg.mpp.vab_entries = mpp_entries;
+        cfg.mpp.pab_entries = mpp_entries;
+        cfg.adaptive_epoch_misses = adaptive_epoch_misses;
         cfg
     }
 }

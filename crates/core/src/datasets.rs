@@ -52,7 +52,12 @@ impl WorkloadSpec {
 
     /// Default warm-up prefix in ops (statistics start after it).
     pub fn default_warmup(scale: DatasetScale) -> usize {
-        (Self::default_budget(scale) / 4) as usize
+        Self::warmup_for(Self::default_budget(scale))
+    }
+
+    /// The warm-up prefix of a `budget`-op trace: its first quarter.
+    pub fn warmup_for(budget: u64) -> usize {
+        (budget / 4) as usize
     }
 
     /// Builds the graph for this cell (weighted iff the algorithm needs

@@ -29,7 +29,7 @@ use crate::fork::{run_sweep, SweepCell};
 use crate::pool::JobPool;
 use crate::system::RunResult;
 use crate::trace_cache::TraceCache;
-use droplet_cache::{CacheConfig, ReplacementPolicy};
+use droplet_cache::CacheConfig;
 use droplet_gap::TraceBundle;
 use droplet_graph::DatasetScale;
 use std::sync::Arc;
@@ -81,58 +81,27 @@ impl ExperimentCtx {
         Self::at(DatasetScale::Small)
     }
 
-    /// Context at an arbitrary scale with the default budgets.
+    /// Context at an arbitrary scale with the default budgets and the
+    /// scale's base machine ([`SystemConfig::for_scale`]).
     pub fn at(scale: DatasetScale) -> Self {
-        let base = match scale {
-            DatasetScale::Sim => SystemConfig::baseline(),
-            DatasetScale::Tiny => SystemConfig::test_scale(),
-            DatasetScale::Small => {
-                // Small graphs (~32 K vertices): hierarchy scaled ~32×.
-                let mut cfg = SystemConfig::baseline();
-                cfg.l1 = CacheConfig {
-                    name: "L1D",
-                    size_bytes: 4 * 1024,
-                    assoc: 8,
-                    tag_latency: 1,
-                    data_latency: 4,
-                    policy: ReplacementPolicy::Lru,
-                };
-                cfg.l2 = Some(CacheConfig {
-                    name: "L2",
-                    size_bytes: 32 * 1024,
-                    assoc: 8,
-                    tag_latency: 3,
-                    data_latency: 8,
-                    policy: ReplacementPolicy::Lru,
-                });
-                cfg.l3 = CacheConfig {
-                    name: "L3",
-                    size_bytes: 256 * 1024,
-                    assoc: 16,
-                    tag_latency: 10,
-                    data_latency: 30,
-                    policy: ReplacementPolicy::Lru,
-                };
-                cfg.stream.trackers = 16;
-                // Prefetch lookahead scales with L2 turnover (see the
-                // test-scale configuration for the same reasoning).
-                cfg.stream.distance = 8;
-                cfg.stream.degree = 2;
-                cfg.mpp.vab_entries = 64;
-                cfg.mpp.pab_entries = 64;
-                cfg.adaptive_epoch_misses = 25_000;
-                cfg
-            }
-        };
         ExperimentCtx {
             scale,
             budget: WorkloadSpec::default_budget(scale),
             warmup: WorkloadSpec::default_warmup(scale),
-            base,
+            base: SystemConfig::for_scale(scale),
             traces: TraceCache::new(),
             pool: JobPool::from_env(),
             fork_sweeps: true,
         }
+    }
+
+    /// Overrides the op budget; the warm-up follows it
+    /// ([`WorkloadSpec::warmup_for`]).
+    #[must_use]
+    pub fn with_budget(mut self, budget: u64) -> Self {
+        self.budget = budget;
+        self.warmup = WorkloadSpec::warmup_for(budget);
+        self
     }
 
     /// Overrides the worker count (equivalent to `DROPLET_THREADS`).
@@ -245,9 +214,7 @@ mod tests {
             dataset,
             scale: DatasetScale::Tiny,
         });
-        let mut ctx = ExperimentCtx::tiny();
-        ctx.budget = 30_000;
-        ctx.warmup = 7_500;
+        let ctx = ExperimentCtx::tiny().with_budget(30_000);
         // The first two share a warm-up (the prefetcher is inert before
         // it); dropping the L2 changes the warmed hierarchy.
         let cfgs = [

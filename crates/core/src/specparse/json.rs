@@ -1,17 +1,17 @@
-//! Minimal JSON support for the experiment-spec wire format.
+//! The reader for experiment-spec JSON bodies.
 //!
-//! Request bodies are flat JSON objects whose values are scalars (strings,
+//! Spec bodies are flat JSON objects whose values are scalars (strings,
 //! numbers, booleans) or arrays of scalars — exactly the shape an
 //! experiment spec needs — so the parser here handles that subset and
-//! nothing more, keeping the service free of serialization dependencies.
-//! Response bodies are rendered by the workspace's one JSON writer,
+//! nothing more, keeping the workspace free of serialization dependencies.
+//! JSON output is rendered by the workspace's one JSON writer,
 //! `droplet::obs::json`.
 
 /// A parsed spec value: one scalar, or an array of scalars.
 ///
 /// Scalars are carried as their raw text (strings unescaped, numbers and
-/// booleans verbatim) because every downstream consumer —
-/// [`droplet::specparse`] — validates from `&str` anyway.
+/// booleans verbatim) because every field parser in [`super`] validates
+/// from `&str` anyway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecValue {
     /// A string, number, boolean, or null, as text.

@@ -130,31 +130,29 @@ impl std::fmt::Debug for EpochStream {
     }
 }
 
+/// Ring capacity of every run journal: the oldest epochs are dropped (and
+/// counted) beyond this many.
+pub const MAX_EPOCHS: usize = 4096;
+
 /// Configuration of the epoch sampler; `SystemConfig::obs` carries
 /// `Option<ObsConfig>` and `None` (the default) disables the layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Retired memory operations per epoch.
     pub epoch_ops: u64,
-    /// Ring capacity: oldest epochs are dropped (and counted) beyond this.
-    pub max_epochs: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            epoch_ops: 10_000,
-            max_epochs: 4096,
-        }
+        ObsConfig { epoch_ops: 10_000 }
     }
 }
 
 impl ObsConfig {
-    /// A sampler with the given epoch length and the default ring size.
+    /// A sampler with the given epoch length (at least one op).
     pub fn every(epoch_ops: u64) -> Self {
         ObsConfig {
             epoch_ops: epoch_ops.max(1),
-            ..Self::default()
         }
     }
 }
@@ -221,10 +219,7 @@ impl ObsRecorder {
     /// A fresh recorder; the window opens at cycle 0 until `reset`.
     pub fn new(cfg: ObsConfig) -> Self {
         ObsRecorder {
-            cfg: ObsConfig {
-                epoch_ops: cfg.epoch_ops.max(1),
-                max_epochs: cfg.max_epochs.max(1),
-            },
+            cfg: ObsConfig::every(cfg.epoch_ops),
             window_start: 0,
             baseline: ObsSnapshot::default(),
             ops_in_epoch: 0,
@@ -279,7 +274,7 @@ impl ObsRecorder {
             let m = EpochMetrics::derive(index, prev, &snap);
             stream.push(m.to_json(&snap, self.window_start));
         }
-        if self.ring.len() == self.cfg.max_epochs {
+        if self.ring.len() == MAX_EPOCHS {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -538,7 +533,7 @@ pub struct RunJournal {
     /// Absolute cycle at which the measurement window opened.
     pub window_start: Cycle,
     /// Epochs evicted from the ring (0 unless the run exceeded
-    /// `max_epochs` × `epoch_ops` retired ops).
+    /// [`MAX_EPOCHS`] × `epoch_ops` retired ops).
     pub dropped_epochs: u64,
     /// The statistics baseline at the window open (all-zero except the MRB
     /// lifetime counters).
@@ -755,16 +750,13 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let mut r = ObsRecorder::new(ObsConfig {
-            epoch_ops: 1,
-            max_epochs: 2,
-        });
-        for i in 0..5u64 {
+        let mut r = ObsRecorder::new(ObsConfig::every(1));
+        for i in 0..MAX_EPOCHS as u64 + 3 {
             r.on_op(1);
             r.record(snap(100 * (i + 1), 0, 0));
         }
         let j = r.into_journal();
-        assert_eq!(j.epoch_count(), 2);
+        assert_eq!(j.epoch_count(), MAX_EPOCHS);
         assert_eq!(j.dropped_epochs, 3);
         assert_eq!(j.samples[0].ops, 4);
     }

@@ -60,9 +60,11 @@ pub struct PrefetchRequest {
 
 /// A reactive core-side prefetch engine.
 ///
-/// `Send + Sync` is required so snapshots holding a boxed engine can be
-/// shared across the sweep worker pool; engines are plain lookup tables, so
-/// every implementation satisfies both automatically.
+/// `Send + Sync` lets a system holding a boxed engine run on the sweep
+/// worker pool; engines are plain lookup tables, so every implementation
+/// satisfies both automatically. Engines are never cloned: warm-up never
+/// feeds them, so a forked sweep cell builds its engine fresh from its
+/// configuration at the warm-up boundary.
 pub trait Prefetcher: Send + Sync {
     /// Observes one access and appends any prefetch requests to `out`.
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>);
@@ -73,10 +75,6 @@ pub trait Prefetcher: Send + Sync {
     /// Requests issued so far.
     fn issued(&self) -> u64;
 
-    /// An owned duplicate carrying all learned state — the snapshot path
-    /// forked sweeps use to restore predictors at the warm-up boundary.
-    fn box_clone(&self) -> Box<dyn Prefetcher>;
-
     /// Runtime mode switch for engines with a data-aware filter (the
     /// adaptive-DROPLET extension of Section VII-B). Default: no-op.
     fn set_data_aware(&mut self, on: bool) {
@@ -86,12 +84,6 @@ pub trait Prefetcher: Send + Sync {
     /// Whether the engine is currently in data-aware mode.
     fn is_data_aware(&self) -> bool {
         false
-    }
-}
-
-impl Clone for Box<dyn Prefetcher> {
-    fn clone(&self) -> Self {
-        self.box_clone()
     }
 }
 

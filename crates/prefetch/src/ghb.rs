@@ -181,10 +181,6 @@ impl Prefetcher for GhbPrefetcher {
     fn issued(&self) -> u64 {
         self.issued
     }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

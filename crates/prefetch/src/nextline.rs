@@ -75,10 +75,6 @@ impl Prefetcher for NextLinePrefetcher {
     fn issued(&self) -> u64 {
         self.issued
     }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

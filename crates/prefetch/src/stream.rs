@@ -303,10 +303,6 @@ impl Prefetcher for StreamPrefetcher {
         self.issued
     }
 
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
-
     fn set_data_aware(&mut self, on: bool) {
         if self.cfg.data_aware != on {
             self.cfg.data_aware = on;

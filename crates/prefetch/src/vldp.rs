@@ -698,10 +698,6 @@ impl Prefetcher for VldpPrefetcher {
     fn issued(&self) -> u64 {
         self.issued
     }
-
-    fn box_clone(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

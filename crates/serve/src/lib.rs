@@ -1,11 +1,12 @@
 //! **droplet-serve** — a long-running experiment service over the DROPLET
 //! simulation engine (DESIGN.md §18).
 //!
-//! The service accepts experiment specs as flat JSON, validates them
-//! through the same [`droplet::specparse`] parsers the CLI uses, and
-//! schedules simulations on the shared [`droplet::JobPool`] and
-//! [`droplet::TraceCache`] with warm-snapshot fork reuse across a sweep's
-//! cells. Two layers keep repeated work off the engine:
+//! The service parses experiment specs, flat JSON bodies, into
+//! [`RunSpec`]: [`droplet::specparse::RunSpec`], the one description of a
+//! run, which `droplet-sim` builds from its flags through the same
+//! validator. It schedules simulations on the shared [`droplet::JobPool`]
+//! and [`droplet::TraceCache`] with warm-snapshot fork reuse across a
+//! sweep's cells. Two layers keep repeated work off the engine:
 //!
 //! * **in-flight dedupe** ([`dedupe`]): concurrent identical submissions —
 //!   equal `(config_hash, workload_hash)` keys — share one engine run and
@@ -32,12 +33,10 @@
 
 pub mod dedupe;
 pub mod http;
-pub mod json;
 pub mod server;
-pub mod spec;
 pub mod store;
 
 pub use dedupe::{Claim, Inflight, JobCell};
+pub use droplet::specparse::RunSpec;
 pub use server::{spawn, RunOutcome, ServerHandle, ServerOptions, ServerState, Submission};
-pub use spec::RunSpec;
 pub use store::ResultStore;

@@ -31,15 +31,16 @@
 
 use crate::dedupe::{Claim, Inflight, JobCell};
 use crate::http::{self, ChunkedResponse, Request};
-use crate::spec::RunSpec;
 use crate::store::{valid_key, ResultStore};
 use droplet::obs::json;
+use droplet::specparse::RunSpec;
 use droplet::trace::SliceSource;
 use droplet::{
     run_sweep, run_workload_with_stream, JobPool, RunResult, SpecError, SweepCell, SystemConfig,
     TraceCache,
 };
 use droplet_graph::DatasetScale;
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,7 +176,8 @@ pub struct RunOutcome {
 /// Shared server state: engine seams, dedupe registry, store, counters.
 pub struct ServerState {
     options: ServerOptions,
-    bases: [SystemConfig; 3],
+    /// The base machine of every scale ([`SystemConfig::for_scale`]).
+    bases: HashMap<DatasetScale, SystemConfig>,
     /// Shared trace store: every submission of a workload builds it once.
     pub traces: TraceCache,
     /// Worker pool sweep cells fan out over.
@@ -189,22 +191,12 @@ pub struct ServerState {
     limiter: Limiter,
 }
 
-fn scale_index(scale: DatasetScale) -> usize {
-    match scale {
-        DatasetScale::Tiny => 0,
-        DatasetScale::Small => 1,
-        DatasetScale::Sim => 2,
-    }
-}
-
 impl ServerState {
     /// Builds the state (opening the store directory) without binding.
     pub fn new(options: ServerOptions) -> io::Result<Arc<Self>> {
-        let bases = [
-            droplet::experiments::ExperimentCtx::at(DatasetScale::Tiny).base,
-            droplet::experiments::ExperimentCtx::at(DatasetScale::Small).base,
-            droplet::experiments::ExperimentCtx::at(DatasetScale::Sim).base,
-        ];
+        let bases = [DatasetScale::Tiny, DatasetScale::Small, DatasetScale::Sim]
+            .map(|scale| (scale, SystemConfig::for_scale(scale)))
+            .into();
         let pool = match options.threads {
             Some(n) => JobPool::with_threads(n),
             None => JobPool::from_env(),
@@ -229,7 +221,7 @@ impl ServerState {
 
     /// The baseline configuration for `scale`.
     pub fn base_for(&self, scale: DatasetScale) -> &SystemConfig {
-        &self.bases[scale_index(scale)]
+        &self.bases[&scale]
     }
 
     /// Renders the canonical response body for one completed cell.

@@ -2,9 +2,9 @@
 //!
 //! The core engine consumes ops in program order but does not care whether
 //! they live in a `Vec` (a freshly built trace) or in a columnar artifact
-//! on disk. [`TraceSource`] is that seam: `fetch(pos)` returns a borrowed
-//! run of consecutive ops starting at `pos`, letting replay loops stream a
-//! trace chunk-by-chunk without ever materializing all of it.
+//! on disk. [`TraceSource`] is that seam: `next_block(pos, max)` returns a
+//! borrowed run of consecutive ops starting at `pos`, letting replay loops
+//! stream a trace block-by-block without ever materializing all of it.
 //!
 //! Two implementations:
 //! - [`SliceSource`] — zero-cost view over in-memory ops;
@@ -22,25 +22,17 @@ pub trait TraceSource {
     /// Total ops in the trace.
     fn op_count(&self) -> u64;
 
-    /// A run of consecutive ops starting at `pos`, at most `max` long.
-    /// Returns an empty slice exactly when `pos >= op_count()`; otherwise
-    /// at least one op. Implementations choose the run length (e.g. up to
-    /// a block boundary), so callers loop until empty.
-    fn fetch(&mut self, pos: u64, max: usize) -> &[MemOp];
-
-    /// The block cursor: the source's natural block holding `pos` — the
-    /// maximal run it can serve without re-decoding — clipped to `max`.
-    /// Batched replay loops precompute one span plan per returned block,
-    /// so larger runs mean fewer, bigger plans; for [`SliceSource`] that
-    /// is the whole remaining trace, for [`ColumnarSource`] the rest of
-    /// the decoded [`BLOCK_OPS`]-op block. Defaults to
-    /// [`TraceSource::fetch`], which already returns maximal runs.
-    fn next_block(&mut self, pos: u64, max: usize) -> &[MemOp] {
-        self.fetch(pos, max)
-    }
+    /// The block cursor: the run of consecutive ops from `pos` to the end
+    /// of the source's natural block holding it — the longest run it can
+    /// serve without re-decoding — clipped to `max`. For [`SliceSource`]
+    /// that is the whole remaining trace, for [`ColumnarSource`] the rest
+    /// of the decoded [`BLOCK_OPS`]-op block. Returns an empty slice
+    /// exactly when `pos >= op_count()`, otherwise at least one op, so
+    /// callers loop until empty.
+    fn next_block(&mut self, pos: u64, max: usize) -> &[MemOp];
 }
 
-/// In-memory ops as a [`TraceSource`]; `fetch` is a bounds-checked
+/// In-memory ops as a [`TraceSource`]; `next_block` is a bounds-checked
 /// subslice, nothing is copied.
 pub struct SliceSource<'a> {
     ops: &'a [MemOp],
@@ -58,7 +50,7 @@ impl TraceSource for SliceSource<'_> {
         self.ops.len() as u64
     }
 
-    fn fetch(&mut self, pos: u64, max: usize) -> &[MemOp] {
+    fn next_block(&mut self, pos: u64, max: usize) -> &[MemOp] {
         let start = (pos as usize).min(self.ops.len());
         let end = start.saturating_add(max).min(self.ops.len());
         &self.ops[start..end]
@@ -131,11 +123,12 @@ impl<B: AsRef<[u8]>> TraceSource for ColumnarSource<B> {
 
     /// # Panics
     ///
-    /// Panics if the block holding `pos` fails to decode. Artifact headers
-    /// are validated at construction; a block-level failure afterwards
-    /// means the file changed or rotted underneath the replay, which no
-    /// caller can meaningfully continue from.
-    fn fetch(&mut self, pos: u64, max: usize) -> &[MemOp] {
+    /// Panics if the block holding `pos` fails to decode: construction
+    /// validates only the header, and no caller can continue a replay from
+    /// a bad block. A caller replaying an artifact it did not just write
+    /// checks every block first with [`crate::columnar::decode`], as
+    /// `droplet-sim trace load` does.
+    fn next_block(&mut self, pos: u64, max: usize) -> &[MemOp] {
         if pos >= self.op_count {
             return &[];
         }
@@ -187,7 +180,7 @@ mod tests {
         let mut all = Vec::new();
         let mut pos = 0u64;
         loop {
-            let run = src.fetch(pos, chunk);
+            let run = src.next_block(pos, chunk);
             if run.is_empty() {
                 break;
             }
@@ -203,7 +196,7 @@ mod tests {
         let mut src = SliceSource::new(&o);
         assert_eq!(src.op_count(), 1000);
         assert_eq!(drain(&mut src, 64), o);
-        assert!(src.fetch(1000, 8).is_empty());
+        assert!(src.next_block(1000, 8).is_empty());
     }
 
     #[test]
@@ -212,7 +205,7 @@ mod tests {
         let bytes = encode(&o);
         let mut src = ColumnarSource::new(bytes.as_slice()).unwrap();
         assert_eq!(src.op_count(), o.len() as u64);
-        // Odd chunk size exercises intra-block and cross-block fetches.
+        // Odd chunk size exercises intra-block and cross-block reads.
         assert_eq!(drain(&mut src, 1000), o);
     }
 
@@ -222,10 +215,10 @@ mod tests {
         let bytes = encode(&o);
         let mut src = ColumnarSource::new(bytes.as_slice()).unwrap();
         // Jump straight into the second block.
-        let run = src.fetch(BLOCK_OPS as u64 + 5, 10);
+        let run = src.next_block(BLOCK_OPS as u64 + 5, 10);
         assert_eq!(run, &o[BLOCK_OPS + 5..BLOCK_OPS + 15]);
         // And back into the first.
-        let run = src.fetch(3, 4);
+        let run = src.next_block(3, 4);
         assert_eq!(run, &o[3..7]);
     }
 
