@@ -1,6 +1,6 @@
-//! Sweep wall-clock gate for forked simulation: times the full Fig. 11
-//! prefetcher study (25 workloads × 7 configurations) over a warm trace
-//! cache — with per-cell full replay (`--no-fork` semantics) and with
+//! Sweep wall-clock gate for forked simulation: times the 175 cells of the
+//! Fig. 11 prefetcher study (25 workloads × 7 configurations) over a warm
+//! trace cache — through `run_sweep` with per-cell full replay and with
 //! shared warm-up forking, at one worker thread and at four — and exports
 //! the walls plus their ratios to `BENCH_engine.json` (section
 //! `"study_wall_ms"`, one `t<N>` object per thread count).
@@ -18,17 +18,14 @@
 //! conformance suite).
 
 use droplet::datasets::WorkloadSpec;
-use droplet::experiments::prefetch_study::run_study;
 use droplet::experiments::ExperimentCtx;
 use droplet::obs::json;
-use droplet::PrefetcherKind;
+use droplet::{run_sweep, JobPool, PrefetcherKind};
 use droplet_bench::bench_json;
 use std::time::Instant;
 
-/// Thread counts exercised by the gate. The pipelined `run_sweep` overlaps
-/// warm-up snapshots with forked cells, so the 4-thread cell measures the
-/// scheduler's scaling, not just raw core count (on a single-core runner
-/// the two cells simply coincide — the ratio leaf then gates at ~1.0).
+/// Thread counts exercised by the gate (on a single-core runner the two
+/// cells simply coincide — the ratio leaf then gates at ~1.0).
 const THREADS: [usize; 2] = [1, 4];
 
 fn main() {
@@ -41,25 +38,29 @@ fn main() {
         ctx.pool.threads()
     );
 
-    // Warm the shared trace cache so every timed pass measures pure
+    // Build the study's cells (baseline plus each evaluated prefetcher,
+    // per workload) up front, so every timed pass measures pure
     // simulation, not graph/trace construction.
     let specs = WorkloadSpec::matrix(ctx.scale);
+    let cfgs: Vec<_> = std::iter::once(PrefetcherKind::None)
+        .chain(PrefetcherKind::EVALUATED)
+        .map(|k| ctx.base.with_prefetcher(k))
+        .collect();
     let build = Instant::now();
-    ctx.build_traces(&specs);
+    let cells = ctx.grid_cells(&specs, &cfgs);
     println!(
         "traces: {} bundles built in {} ms",
         specs.len(),
         build.elapsed().as_millis()
     );
 
-    let time_study = |threads: usize, fork: bool| {
-        let ctx = ctx.clone().with_threads(threads).with_fork_sweeps(fork);
+    let time_sweep = |threads: usize, fork: bool| {
         let t = Instant::now();
-        let study = run_study(&ctx, &PrefetcherKind::EVALUATED);
+        let results = run_sweep(&JobPool::with_threads(threads), &cells, ctx.warmup, fork);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         println!(
-            "threads={threads} fork={fork}: {} rows in {ms:.0} ms",
-            study.rows.len()
+            "threads={threads} fork={fork}: {} cells in {ms:.0} ms",
+            results.len()
         );
         ms
     };
@@ -71,8 +72,8 @@ fn main() {
     ];
     let mut forked_by_threads = Vec::new();
     for threads in THREADS {
-        let full_ms = time_study(threads, false);
-        let forked_ms = time_study(threads, true);
+        let full_ms = time_sweep(threads, false);
+        let forked_ms = time_sweep(threads, true);
         forked_by_threads.push(forked_ms);
         pairs.push((
             format!("t{threads}"),

@@ -25,21 +25,21 @@ fn usage() -> ! {
         "usage:\n  droplet-sim run   --algo <bc|bfs|pr|sssp|cc> --dataset <kron|urand|orkut|livejournal|road>\n\
          \x20                   [--prefetcher <none|ghb|vldp|stream|streammpp1|droplet|mono|adaptive>]\n\
          \x20                   [--scale <tiny|small|sim>] [--budget <ops>] [--threads <n>]\n\
-         \x20                   [--obs <journal.jsonl>] [--epoch-ops <n>] [--fork-sweep|--no-fork]\n\
+         \x20                   [--obs <journal.jsonl>] [--epoch-ops <n>]\n\
          \x20                   [--l1-policy|--l2-policy|--l3-policy <lru|srrip|brrip|drrip|ship>]\n\
          \x20 droplet-sim sweep --algo <...> --dataset <...> [--scale <...>] [--budget <ops>] [--threads <n>]\n\
-         \x20                   [--fork-sweep|--no-fork] [--l3-policy <...>]\n\
+         \x20                   [--l1-policy|--l2-policy|--l3-policy <...>]\n\
          \x20 droplet-sim trace save --algo <...> --dataset <...> [--scale <...>] [--budget <ops>]\n\
          \x20                   --trace-file <artifact.dcol>\n\
          \x20 droplet-sim trace load --algo <...> --dataset <...> [--scale <...>] [--budget <ops>]\n\
          \x20                   --trace-file <artifact.dcol> [--prefetcher <...>]\n\
+         \x20                   [--obs <journal.jsonl>] [--epoch-ops <n>]\n\
          \x20 droplet-sim info\n\
          \x20 --threads overrides DROPLET_THREADS (default: all cores; 1 = fully serial)\n\
          \x20 --obs enables epoch sampling and writes the JSONL run journal there\n\
          \x20 --epoch-ops sets retired ops per epoch (default 10000, at least ceil(budget / 4096);\n\
          \x20   implies sampling was wanted)\n\
-         \x20 --fork-sweep/--no-fork: share one warm-up simulation across same-hierarchy configs\n\
-         \x20   (default: on for multi-config invocations; results are bit-identical either way)\n\
+         \x20 sweep runs every prefetcher and writes no journal: it refuses --prefetcher/--obs/--epoch-ops\n\
          \x20 --l1-policy/--l2-policy/--l3-policy: replacement policy per level (default lru)"
     );
     std::process::exit(2);
@@ -64,30 +64,27 @@ fn flag_value<T>(parsed: Result<T, SpecError>) -> T {
 struct Args {
     threads: Option<usize>,
     obs_path: Option<String>,
-    fork: Option<bool>,
     trace_file: Option<String>,
 }
 
-/// Splits the flags into the CLI's own [`Args`] and the [`RunSpec`] the
-/// rest describe: `--l1-policy brrip` is the spec field `l1_policy`.
-fn parse_flags(rest: &[String]) -> (Args, RunSpec) {
+/// Splits the flags of command `cmd` into the CLI's own [`Args`] and the
+/// [`RunSpec`] the rest describe: `--l1-policy brrip` is the spec field
+/// `l1_policy`. `sweep` refuses the flags it would ignore.
+fn parse_flags(cmd: &str, rest: &[String]) -> (Args, RunSpec) {
+    let refused: &[&str] = match cmd {
+        "sweep" => &["--prefetcher", "--obs", "--epoch-ops"],
+        _ => &[],
+    };
     let mut args = Args::default();
     let mut fields = Vec::new();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
-        // Boolean flags take no value.
-        match flag.as_str() {
-            "--fork-sweep" => {
-                args.fork = Some(true);
-                continue;
-            }
-            "--no-fork" => {
-                args.fork = Some(false);
-                continue;
-            }
-            _ => {}
+        if refused.contains(&flag.as_str()) {
+            eprintln!("error: {flag}: not accepted by {cmd}");
+            usage()
         }
-        let Some(value) = it.next() else {
+        // No value starts with `--`, so a flag that takes none is named here.
+        let Some(value) = it.next().filter(|v| !v.starts_with("--")) else {
             eprintln!("error: {flag}: missing value");
             usage()
         };
@@ -245,7 +242,7 @@ fn cmd_trace(sub: &str, args: &Args, spec: &RunSpec) {
     let Some(file) = &args.trace_file else {
         usage()
     };
-    let ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
+    let ctx = context(args, spec);
     let workload = spec.workload();
     eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
     let bundle = ctx.trace(&workload);
@@ -298,8 +295,21 @@ fn cmd_trace(sub: &str, args: &Args, spec: &RunSpec) {
             let cfg = spec.config(&ctx.base);
             let r = run_workload_from(&mut source, &bundle, &cfg, ctx.warmup);
             report(&format!("{} (columnar replay)", spec.prefetcher.name()), &r);
+            if let Some(path) = &args.obs_path {
+                write_journal(path, &r, &workload.label(), &ctx);
+            }
         }
         _ => usage(),
+    }
+}
+
+/// The experiment context of a command: its scale and budget, and the
+/// `--threads` pool width.
+fn context(args: &Args, spec: &RunSpec) -> ExperimentCtx {
+    let ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
+    match args.threads {
+        Some(n) => ctx.with_threads(n),
+        None => ctx,
     }
 }
 
@@ -310,18 +320,12 @@ fn main() {
         "info" => cmd_info(),
         "trace" => {
             let Some(sub) = argv.get(2) else { usage() };
-            let (args, spec) = parse_flags(&argv[3..]);
+            let (args, spec) = parse_flags(cmd, &argv[3..]);
             cmd_trace(sub, &args, &spec);
         }
         "run" | "sweep" => {
-            let (args, spec) = parse_flags(&argv[2..]);
-            let mut ctx = ExperimentCtx::at(spec.scale).with_budget(spec.budget);
-            if let Some(n) = args.threads {
-                ctx = ctx.with_threads(n);
-            }
-            if let Some(fork) = args.fork {
-                ctx = ctx.with_fork_sweeps(fork);
-            }
+            let (args, spec) = parse_flags(cmd, &argv[2..]);
+            let ctx = context(&args, &spec);
             let workload = spec.workload();
             eprintln!("building {} at {:?} scale...", workload.label(), spec.scale);
             let bundle = ctx.trace(&workload);

@@ -58,19 +58,9 @@ pub struct ExperimentCtx {
     pub traces: TraceCache,
     /// Worker pool the drivers fan independent cells over.
     pub pool: JobPool,
-    /// Whether sweep drivers share warm-up across same-prefix cells via
-    /// [`crate::fork::run_sweep`] (on by default; results are bit-identical
-    /// either way, only wall time changes).
-    pub fork_sweeps: bool,
 }
 
 impl ExperimentCtx {
-    /// The context used by the figure benches (Sim-scale datasets, Table I
-    /// hierarchy).
-    pub fn sim() -> Self {
-        Self::at(DatasetScale::Sim)
-    }
-
     /// A fast context for tests (tiny datasets, scaled-down hierarchy).
     pub fn tiny() -> Self {
         Self::at(DatasetScale::Tiny)
@@ -91,7 +81,6 @@ impl ExperimentCtx {
             base: SystemConfig::for_scale(scale),
             traces: TraceCache::new(),
             pool: JobPool::from_env(),
-            fork_sweeps: true,
         }
     }
 
@@ -111,13 +100,6 @@ impl ExperimentCtx {
         self
     }
 
-    /// Disables (or re-enables) warm-up sharing in sweep drivers.
-    #[must_use]
-    pub fn with_fork_sweeps(mut self, on: bool) -> Self {
-        self.fork_sweeps = on;
-        self
-    }
-
     /// The trace bundle of `spec` at this context's budget, via the shared
     /// cache — repeated calls (from any driver or worker) build it once.
     pub fn trace(&self, spec: &WorkloadSpec) -> Arc<TraceBundle> {
@@ -131,14 +113,11 @@ impl ExperimentCtx {
             .run(specs.iter().map(|spec| move || self.trace(spec)).collect())
     }
 
-    /// Every (workload, configuration) cell of the grid: `out[s][c]` is
-    /// `specs[s]` run under `cfgs[c]`. The bundles are built first, then
-    /// all cells go through one [`run_sweep`] (sharing warm-ups when
-    /// [`ExperimentCtx::fork_sweeps`] is on), so the results equal
-    /// per-cell `run_workload` at any pool width.
-    pub fn run_grid(&self, specs: &[WorkloadSpec], cfgs: &[SystemConfig]) -> Vec<Vec<RunResult>> {
-        let bundles = self.build_traces(specs);
-        let cells: Vec<SweepCell> = bundles
+    /// The (workload, configuration) cells of the grid, `specs`-major:
+    /// `specs[s]` under `cfgs[c]` is cell `s * cfgs.len() + c`. The bundles
+    /// are built first ([`ExperimentCtx::build_traces`]).
+    pub fn grid_cells(&self, specs: &[WorkloadSpec], cfgs: &[SystemConfig]) -> Vec<SweepCell> {
+        self.build_traces(specs)
             .iter()
             .flat_map(|bundle| {
                 cfgs.iter().map(|cfg| SweepCell {
@@ -146,8 +125,16 @@ impl ExperimentCtx {
                     cfg: cfg.clone(),
                 })
             })
-            .collect();
-        let mut results = run_sweep(&self.pool, &cells, self.warmup, self.fork_sweeps).into_iter();
+            .collect()
+    }
+
+    /// Every cell of the grid: `out[s][c]` is `specs[s]` run under
+    /// `cfgs[c]`. All cells go through one [`run_sweep`], which shares
+    /// warm-ups, so the results equal per-cell `run_workload` at any pool
+    /// width.
+    pub fn run_grid(&self, specs: &[WorkloadSpec], cfgs: &[SystemConfig]) -> Vec<Vec<RunResult>> {
+        let cells = self.grid_cells(specs, cfgs);
+        let mut results = run_sweep(&self.pool, &cells, self.warmup, true).into_iter();
         specs
             .iter()
             .map(|_| results.by_ref().take(cfgs.len()).collect())
@@ -222,21 +209,19 @@ mod tests {
             ctx.base.with_prefetcher(PrefetcherKind::Droplet),
             ctx.base.clone().with_l2(None),
         ];
-        for fork in [true, false] {
-            for threads in [1, 4] {
-                let ctx = ctx.clone().with_threads(threads).with_fork_sweeps(fork);
-                let grid = ctx.run_grid(&specs, &cfgs);
-                assert_eq!(grid.len(), specs.len());
-                for (s, row) in grid.iter().enumerate() {
-                    assert_eq!(row.len(), cfgs.len());
-                    for (c, r) in row.iter().enumerate() {
-                        let replay = run_workload(&ctx.trace(&specs[s]), &cfgs[c], ctx.warmup);
-                        assert_eq!(
-                            r.digest(),
-                            replay.digest(),
-                            "cell [{s}][{c}], fork {fork}, {threads} threads"
-                        );
-                    }
+        for threads in [1, 4] {
+            let ctx = ctx.clone().with_threads(threads);
+            let grid = ctx.run_grid(&specs, &cfgs);
+            assert_eq!(grid.len(), specs.len());
+            for (s, row) in grid.iter().enumerate() {
+                assert_eq!(row.len(), cfgs.len());
+                for (c, r) in row.iter().enumerate() {
+                    let replay = run_workload(&ctx.trace(&specs[s]), &cfgs[c], ctx.warmup);
+                    assert_eq!(
+                        r.digest(),
+                        replay.digest(),
+                        "cell [{s}][{c}], {threads} threads"
+                    );
                 }
             }
         }

@@ -170,7 +170,6 @@ pub fn run_policy_study_on(
             ("workloads", specs.len().to_string()),
             ("policies", policies.len().to_string()),
             ("cells", (specs.len() * cfgs.len()).to_string()),
-            ("forked", ctx.fork_sweeps.to_string()),
             (
                 "wall_ms",
                 format!("{:.0}", wall.elapsed().as_secs_f64() * 1000.0),

@@ -112,7 +112,6 @@ pub fn run_study(ctx: &ExperimentCtx, kinds: &[PrefetcherKind]) -> PrefetchStudy
             ("workloads", specs.len().to_string()),
             ("configs", kinds.len().to_string()),
             ("cells", (specs.len() * cfgs.len()).to_string()),
-            ("forked", ctx.fork_sweeps.to_string()),
             (
                 "wall_ms",
                 format!("{:.0}", wall.elapsed().as_secs_f64() * 1000.0),

@@ -18,7 +18,7 @@ use droplet_cpu::CoreEngine;
 use droplet_gap::TraceBundle;
 use droplet_trace::{SliceSource, TraceSource};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// A warmed machine at the warm-up boundary: the memory system snapshot
 /// plus the core engine that produced it, ready to fan measurement runs
@@ -37,11 +37,6 @@ impl WarmupSnapshot {
     /// Warm-up ops actually simulated into this snapshot.
     pub fn applied(&self) -> u64 {
         self.applied
-    }
-
-    /// Warm-up ops the caller requested (pre-clamp).
-    pub fn requested(&self) -> u64 {
-        self.requested
     }
 
     /// The parent's simulated-machine hash (recorded as `forked_from` in
@@ -154,56 +149,20 @@ pub struct SweepCell {
     pub cfg: SystemConfig,
 }
 
-/// A write-once snapshot slot a group's cell jobs block on. A plain
-/// Mutex + Condvar pair rather than `OnceLock::wait`, so the error path
-/// (a panicking warm-up job) can poison the slot explicitly and wake the
-/// waiters into a clean panic instead of a deadlock.
-#[derive(Default)]
-struct SnapSlot {
-    /// `None` until the warm-up job lands; `Err` if it panicked.
-    ready: Mutex<Option<Result<Arc<WarmupSnapshot>, ()>>>,
-    cv: Condvar,
-}
-
-impl SnapSlot {
-    fn fill(&self, snap: Result<Arc<WarmupSnapshot>, ()>) {
-        *self.ready.lock().expect("snapshot slot poisoned") = Some(snap);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Arc<WarmupSnapshot> {
-        let mut guard = self.ready.lock().expect("snapshot slot poisoned");
-        loop {
-            match guard.as_ref() {
-                Some(Ok(snap)) => return Arc::clone(snap),
-                Some(Err(())) => panic!("warm-up job for this sweep group panicked"),
-                None => guard = self.cv.wait(guard).expect("snapshot slot poisoned"),
-            }
-        }
-    }
-}
-
 /// Runs every cell, sharing warm-up across cells that agree on the trace
 /// and the warmup-relevant configuration.
 ///
-/// Cells are grouped by `(Arc::as_ptr(bundle), cfg.warmup_key())`. Groups
-/// of two or more get one [`warm_snapshot`] job and then a [`run_forked`]
-/// job per cell; singleton cells — including every cell of a sweep whose
-/// points differ in warmup-relevant fields, which thereby falls back to
-/// full replay automatically — run `run_workload` unchanged. With `fork`
-/// false everything replays in full (the `--no-fork` escape hatch, and the
-/// before-side of the `study_wall_ms` bench).
+/// Cells are grouped by `(Arc::as_ptr(bundle), cfg.warmup_key())`. The
+/// sweep is two [`JobPool::run`] batches: one [`warm_snapshot`] job per
+/// group of two or more cells, then one job per cell — [`run_forked`] from
+/// its group's snapshot, or `run_workload` for a cell alone in its group,
+/// so a sweep whose points differ in warmup-relevant fields falls back to
+/// full replay automatically. With `fork` false every cell replays in full.
 ///
-/// The fan-out is pipelined, not phased: all jobs go into one
-/// [`JobPool::run`] batch with the warm-up jobs queued first, and each
-/// cell job blocks only on *its own group's* snapshot slot — so group A's
-/// cells start measuring while group B's warm-up is still simulating,
-/// instead of every cell waiting behind a global warm-up barrier. That
-/// removes the barrier's idle time; no committed measurement yet shows how
-/// the sweep scales with `DROPLET_THREADS` (the one recorded 4-vs-1-worker
-/// ratio, 0.912, comes from a single-CPU machine). Deadlock-free because workers claim job indices in submission order:
-/// any cell job a worker runs has every warm-up job already claimed, and
-/// warm-up jobs never wait.
+/// No job waits on another, and the first batch holds only warm-ups, so a
+/// panicking warm-up reaches the caller with its own payload. The barrier
+/// between the batches idles a worker for at most the longest single
+/// warm-up (DESIGN.md §17).
 ///
 /// Results come back in cell order; forked and replayed runs are
 /// bit-identical, so the output is independent of grouping, threading, and
@@ -214,76 +173,40 @@ pub fn run_sweep(
     warmup_ops: usize,
     fork: bool,
 ) -> Vec<RunResult> {
-    if !fork {
-        return pool.run(
-            cells
-                .iter()
-                .map(|cell| move || crate::run_workload(&cell.bundle, &cell.cfg, warmup_ops))
-                .collect(),
-        );
-    }
+    // A cell's group is the first cell sharing its trace and warm-up key.
+    let mut first = HashMap::new();
+    let group: Vec<usize> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let key = (Arc::as_ptr(&cell.bundle), cell.cfg.warmup_key());
+            *first.entry(key).or_insert(i)
+        })
+        .collect();
+    let mut size = vec![0; cells.len()];
+    group.iter().for_each(|&g| size[g] += 1);
+    // Groups of two or more share the snapshot their first cell warms.
+    let leaders: Vec<usize> = (0..cells.len()).filter(|&i| fork && size[i] >= 2).collect();
 
-    // Group in first-seen order (determinism of job submission order, and
-    // hence of progress output — results are order-independent anyway).
-    let mut group_of: HashMap<(usize, u64), usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let key = (Arc::as_ptr(&cell.bundle) as usize, cell.cfg.warmup_key());
-        let g = *group_of.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(i);
-    }
-
-    let shared: Vec<&Vec<usize>> = groups.iter().filter(|g| g.len() >= 2).collect();
-    let slots: Vec<SnapSlot> = (0..shared.len()).map(|_| SnapSlot::default()).collect();
-    let mut snapshot_of_cell: Vec<Option<usize>> = vec![None; cells.len()];
-    for (s, members) in shared.iter().enumerate() {
-        for &i in members.iter() {
-            snapshot_of_cell[i] = Some(s);
-        }
-    }
-
-    // One batch: warm-up jobs first (returning None), then cell jobs
-    // (returning Some), each waiting only on its own group's slot.
-    type Job<'j> = Box<dyn FnOnce() -> Option<RunResult> + Send + 'j>;
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(shared.len() + cells.len());
-    for (s, members) in shared.iter().enumerate() {
-        let first = &cells[members[0]];
-        let slot = &slots[s];
-        jobs.push(Box::new(move || {
-            let snap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                warm_snapshot(&first.bundle, &first.cfg, warmup_ops)
-            }));
-            match snap {
-                Ok(snap) => {
-                    slot.fill(Ok(Arc::new(snap)));
-                    None
+    let snaps = pool.run(
+        leaders
+            .iter()
+            .map(|&i| move || warm_snapshot(&cells[i].bundle, &cells[i].cfg, warmup_ops))
+            .collect(),
+    );
+    pool.run(
+        cells
+            .iter()
+            .zip(&group)
+            .map(|(cell, g)| {
+                let snap = leaders.binary_search(g).ok().map(|s| &snaps[s]);
+                move || match snap {
+                    Some(snap) => run_forked(&cell.bundle, snap, &cell.cfg),
+                    None => crate::run_workload(&cell.bundle, &cell.cfg, warmup_ops),
                 }
-                Err(payload) => {
-                    // Wake the group's waiters into a panic of their own,
-                    // then re-raise so the pool reports the original.
-                    slot.fill(Err(()));
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }));
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let slot = snapshot_of_cell[i].map(|s| &slots[s]);
-        jobs.push(Box::new(move || {
-            Some(match slot {
-                Some(slot) => run_forked(&cell.bundle, &slot.wait(), &cell.cfg),
-                None => crate::run_workload(&cell.bundle, &cell.cfg, warmup_ops),
             })
-        }));
-    }
-    let mut out = pool.run(jobs);
-    out.drain(..shared.len());
-    out.into_iter()
-        .map(|r| r.expect("cell job returned a result"))
-        .collect()
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -296,13 +219,6 @@ mod tests {
     fn bundle() -> Arc<TraceBundle> {
         let g = Arc::new(Dataset::Kron.build(DatasetScale::Tiny));
         Arc::new(Algorithm::Pr.trace(&g, 120_000))
-    }
-
-    /// Digest of everything deterministic in a result (manifest lineage and
-    /// wall time excluded) — [`RunResult::digest`], the same identity
-    /// `droplet-serve` dedupes responses on.
-    fn digest(r: &RunResult) -> u64 {
-        r.digest()
     }
 
     #[test]
@@ -320,8 +236,8 @@ mod tests {
             let forked = run_forked(&b, &snap, &cfg);
             let scratch = crate::run_workload(&b, &cfg, warmup);
             assert_eq!(
-                digest(&forked),
-                digest(&scratch),
+                forked.digest(),
+                scratch.digest(),
                 "fork != scratch for {kind}"
             );
             assert_eq!(forked.manifest.forked_from, Some(snap.parent_config_hash()));
@@ -349,7 +265,7 @@ mod tests {
         let forked = run_sweep(&pool, &cells, 20_000, true);
         let full = run_sweep(&pool, &cells, 20_000, false);
         for (f, r) in forked.iter().zip(&full) {
-            assert_eq!(digest(f), digest(r));
+            assert_eq!(f.digest(), r.digest());
             assert!(f.manifest.forked_from.is_some());
             assert!(r.manifest.forked_from.is_none());
         }
@@ -387,8 +303,37 @@ mod tests {
         assert_eq!(snap.applied(), (b.ops.len() / 2) as u64);
         let forked = run_forked(&b, &snap, &cfg);
         let scratch = crate::run_workload(&b, &cfg, over);
-        assert_eq!(digest(&forked), digest(&scratch));
+        assert_eq!(forked.digest(), scratch.digest());
         assert!(forked.warmup_clamped);
+    }
+
+    #[test]
+    fn a_panicking_warm_up_reaches_the_caller_with_its_own_message() {
+        // `CoreEngine::new` rejects a zero ROB; three DTLB sizes make three
+        // warm-up groups, so the first batch runs on several workers.
+        let b = bundle();
+        let cells: Vec<SweepCell> = (0..150)
+            .map(|i| {
+                let mut cfg = SystemConfig::test_scale();
+                cfg.core.rob = 0;
+                cfg.dtlb_entries <<= i % 3;
+                let bundle = Arc::clone(&b);
+                SweepCell { bundle, cfg }
+            })
+            .collect();
+        for threads in [2, 4] {
+            let pool = JobPool::with_threads(threads);
+            for trial in 0..200 {
+                let sweep = || run_sweep(&pool, &cells, 10_000, true);
+                let payload = std::thread::scope(|s| s.spawn(sweep).join()).unwrap_err();
+                let msg = (payload.downcast_ref::<&str>().copied())
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+                assert!(
+                    msg.is_some_and(|m| m.contains("degenerate core config")),
+                    "{threads} threads, trial {trial}: {msg:?}"
+                );
+            }
+        }
     }
 
     #[test]

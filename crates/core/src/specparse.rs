@@ -234,6 +234,13 @@ impl RunSpec {
                 "l1_policy" => policies[0] = Some(parse_policy("l1_policy", scalar)?),
                 "l2_policy" => policies[1] = Some(parse_policy("l2_policy", scalar)?),
                 "l3_policy" => policies[2] = Some(parse_policy("l3_policy", scalar)?),
+                "prefetchers" => {
+                    return Err(SpecError::new(
+                        "prefetchers",
+                        scalar,
+                        "a list of prefetcher names",
+                    ))
+                }
                 _ => return Err(unknown_field(key, scalar)),
             }
         }
@@ -406,6 +413,24 @@ mod tests {
         assert_eq!(s.prefetcher, PrefetcherKind::Droplet);
         assert_eq!(s.budget, WorkloadSpec::default_budget(DatasetScale::Tiny));
         assert_eq!(s.budget as usize / 4, s.warmup());
+    }
+
+    #[test]
+    fn scalar_prefetchers_asks_for_a_list() {
+        let body = |prefetchers: &str| {
+            RunSpec::parse(
+                &format!(r#"{{"algo": "pr", "dataset": "kron", "prefetchers": {prefetchers}}}"#),
+                DatasetScale::Tiny,
+            )
+        };
+        assert_eq!(
+            body(r#""droplet""#).unwrap_err().to_string(),
+            "prefetchers: invalid value \"droplet\" (expected a list of prefetcher names)"
+        );
+        assert_eq!(
+            body(r#"["droplet", "vldp"]"#).unwrap().prefetchers,
+            [PrefetcherKind::Droplet, PrefetcherKind::Vldp]
+        );
     }
 
     #[test]

@@ -157,8 +157,9 @@ impl<'a> System<'a> {
 
     /// Captures everything that evolved during warm-up into an owned,
     /// `'static` snapshot. Meant to be taken at the warm-up boundary
-    /// (before `warmup_done`); [`System::fork`] then restores it under any
-    /// configuration sharing the same [`SystemConfig::warmup_key`].
+    /// (before `warmup_done`); [`crate::fork::WarmupSnapshot::resume`] then
+    /// restores it under any configuration sharing the same
+    /// [`SystemConfig::warmup_key`].
     pub fn snapshot(&self) -> SystemSnapshot {
         debug_assert!(
             !self.pf_enabled,
@@ -183,7 +184,10 @@ impl<'a> System<'a> {
     }
 
     /// Rebuilds a warmed system from `snap` under `cfg`, swapping in the
-    /// fork-safe knobs (prefetcher wiring, adaptive controller, obs).
+    /// fork-safe knobs (prefetcher wiring, adaptive controller, obs). Any
+    /// `mutation` other than [`ForkMutation::None`] injects a
+    /// snapshot-restore fault, for the conformance self-test that proves
+    /// the fork-vs-scratch differ catches incomplete snapshots.
     ///
     /// Bit-exactness argument: warm-up is demand-only, so at the boundary
     /// (a) the predictors, MPP, and adaptive controller are pristine, and
@@ -198,13 +202,6 @@ impl<'a> System<'a> {
     /// Panics if `cfg` disagrees with the snapshot's configuration on any
     /// warmup-relevant field ([`SystemConfig::warmup_key`]); such sweeps
     /// must fall back to full replay.
-    pub fn fork(snap: &SystemSnapshot, cfg: &SystemConfig, bundle: &'a TraceBundle) -> Self {
-        Self::fork_mutated(snap, cfg, bundle, ForkMutation::None)
-    }
-
-    /// [`System::fork`] with an injected snapshot-restore fault, for the
-    /// conformance self-test that proves the fork-vs-scratch differ catches
-    /// incomplete snapshots.
     #[doc(hidden)]
     pub fn fork_mutated(
         snap: &SystemSnapshot,
@@ -538,7 +535,8 @@ impl<'a> System<'a> {
 /// tags+stamps+meta, DRAM and MSHR state, and statistics. `System` keeps no
 /// translation memo of its own. Taken with [`System::snapshot`] at the
 /// warm-up boundary; any configuration sharing the parent's
-/// [`SystemConfig::warmup_key`] can [`System::fork`] from it.
+/// [`SystemConfig::warmup_key`] can fork from it
+/// ([`crate::fork::WarmupSnapshot::resume`]).
 ///
 /// Deliberately *not* captured: the prefetch engine, MPP and adaptive
 /// controller (warm-up never feeds them, so a fork builds them fresh), the

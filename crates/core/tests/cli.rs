@@ -1,6 +1,7 @@
 //! The `droplet-sim` binary end to end: its flags go through the same
-//! validator as a `droplet-serve` spec, and `trace load` checks an
-//! artifact before replaying it.
+//! validator as a `droplet-serve` spec, `sweep` refuses the flags it would
+//! ignore, and `trace load` checks an artifact before replaying it and
+//! journals its run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -37,6 +38,76 @@ fn epoch_ops_below_the_journal_bound_is_a_flag_error() {
     }
     let out = droplet_sim("run", &["--epoch-ops", "8"]);
     assert!(out.status.success(), "--epoch-ops 8: {}", stderr(&out));
+}
+
+#[test]
+fn a_scalar_prefetchers_flag_asks_for_a_list() {
+    let out = droplet_sim("run", &["--prefetchers", "droplet"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains(
+            "error: --prefetchers: invalid value \"droplet\" (expected a list of prefetcher names)"
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn sweep_refuses_the_flags_it_would_ignore() {
+    let journal =
+        std::env::temp_dir().join(format!("droplet-cli-sweep-{}.jsonl", std::process::id()));
+    for extra in [
+        ["--obs", journal.to_str().unwrap()],
+        ["--epoch-ops", "10000"],
+        ["--prefetcher", "vldp"],
+    ] {
+        let out = droplet_sim("sweep", &extra);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {err}");
+        assert!(
+            err.contains(&format!("error: {}:", extra[0])),
+            "{extra:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{extra:?} ran the sweep");
+    }
+    assert!(!journal.exists(), "sweep --obs wrote {}", journal.display());
+}
+
+#[test]
+fn a_flag_without_its_value_is_named() {
+    // `--no-fork` took no value; it is gone, and the error names it rather
+    // than the flag after it.
+    let out = droplet_sim("sweep", &["--no-fork", "--threads", "2"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error: --no-fork: missing value"), "{err}");
+}
+
+#[test]
+fn trace_load_writes_the_journal_of_its_run() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("droplet-cli-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("bfs.dcol");
+    let journal = dir.join("load.jsonl");
+    let file = ["--trace-file", artifact.to_str().unwrap()];
+    let saved = droplet_sim("trace save", &file);
+    assert!(saved.status.success(), "trace save: {}", stderr(&saved));
+    let out = droplet_sim(
+        "trace load",
+        &[file[0], file[1], "--obs", journal.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "trace load --obs: {}", stderr(&out));
+    let text = std::fs::read_to_string(&journal).expect("trace load --obs writes its journal");
+    let mut lines = text.lines();
+    let manifest = lines.next().unwrap_or_default();
+    assert!(
+        manifest.starts_with("{\"manifest\": ") && manifest.contains("\"workload\": "),
+        "{manifest}"
+    );
+    assert!(lines.count() > 0, "the journal holds no epochs");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

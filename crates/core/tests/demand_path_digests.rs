@@ -597,7 +597,7 @@ fn forked_policy_runs_digest_identically_to_full_replay() {
 
 /// The strongest cross-product equality in the suite: for every prefetcher
 /// kind × LLC policy, the production stack — forked from a shared warm
-/// snapshot, scheduled through the pipelined sweep on one *and* four
+/// snapshot, scheduled through the two-batch sweep on one *and* four
 /// workers — must digest bit-identically to the plainest possible
 /// reference: a from-scratch, single-run replay. One assertion per cell
 /// covers the fork restore and the sweep scheduling at once; either

@@ -9,24 +9,6 @@ use droplet::graph::{Dataset, DatasetScale};
 use droplet::{run_sweep, JobPool, PrefetcherKind, RunResult, SweepCell, SystemConfig};
 use std::sync::Arc;
 
-/// Digest of everything deterministic in a result (manifest lineage and
-/// wall time excluded so forked and replayed runs can be compared too).
-fn digest(r: &RunResult) -> u64 {
-    let repr = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}",
-        r.core,
-        r.l1,
-        r.l2,
-        r.l3,
-        r.dram,
-        r.mpp,
-        r.sys,
-        r.warmup_boundary_cycle,
-        r.warmup_ops_applied,
-    );
-    droplet::obs::fnv1a(repr.as_bytes())
-}
-
 fn cells() -> Vec<SweepCell> {
     let g = Arc::new(Dataset::Kron.build(DatasetScale::Tiny));
     let pr = Arc::new(Algorithm::Pr.trace(&g, 80_000));
@@ -56,11 +38,11 @@ fn forked_sweep_is_thread_count_invariant() {
     let cells = cells();
     let serial: Vec<u64> = run_sweep(&JobPool::with_threads(1), &cells, 10_000, true)
         .iter()
-        .map(digest)
+        .map(RunResult::digest)
         .collect();
     let parallel: Vec<u64> = run_sweep(&JobPool::with_threads(4), &cells, 10_000, true)
         .iter()
-        .map(digest)
+        .map(RunResult::digest)
         .collect();
     assert_eq!(
         serial, parallel,
@@ -75,7 +57,7 @@ fn forked_sweep_matches_unforked_sweep() {
     let forked = run_sweep(&pool, &cells, 10_000, true);
     let full = run_sweep(&pool, &cells, 10_000, false);
     for (i, (f, r)) in forked.iter().zip(&full).enumerate() {
-        assert_eq!(digest(f), digest(r), "cell {i}: fork != full replay");
+        assert_eq!(f.digest(), r.digest(), "cell {i}: fork != full replay");
         assert!(f.manifest.forked_from.is_some(), "cell {i} did not fork");
         assert!(r.manifest.forked_from.is_none());
     }
