@@ -34,6 +34,11 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// LLC `(tag, data)` latencies by doubling step from the baseline
+    /// capacity (×1/×2/×4/×8): the CACTI-style growth of the Fig. 4a sweep,
+    /// where larger arrays are slower to access.
+    pub const LLC_LATENCIES: [(u64, u64); 4] = [(10, 30), (11, 35), (13, 41), (15, 48)];
+
     /// The baseline 32 KB, 8-way L1D (4-cycle data, 1-cycle tag).
     pub fn l1d() -> Self {
         CacheConfig {
@@ -63,20 +68,17 @@ impl CacheConfig {
         Self::l3_sized(8)
     }
 
-    /// An L3 of `megabytes` capacity with the CACTI-style latencies used for
-    /// the Fig. 4a sweep (larger arrays are slower to access).
+    /// An L3 of `megabytes` capacity with the latencies of its doubling
+    /// step from 8 MB ([`CacheConfig::LLC_LATENCIES`]).
     ///
     /// # Panics
     ///
     /// Panics if `megabytes` is not one of 8, 16, 32, 64.
     pub fn l3_sized(megabytes: u64) -> Self {
-        let (tag, data) = match megabytes {
-            8 => (10, 30),
-            16 => (11, 35),
-            32 => (13, 41),
-            64 => (15, 48),
-            other => panic!("no latency model for a {other} MB LLC"),
-        };
+        let step = (0..Self::LLC_LATENCIES.len())
+            .find(|&s| 8 << s == megabytes)
+            .unwrap_or_else(|| panic!("no latency model for a {megabytes} MB LLC"));
+        let (tag, data) = Self::LLC_LATENCIES[step];
         CacheConfig {
             name: "L3",
             size_bytes: megabytes * 1024 * 1024,

@@ -40,6 +40,7 @@ fn usage() -> ! {
          \x20 --epoch-ops sets retired ops per epoch (default 10000, at least ceil(budget / 4096);\n\
          \x20   implies sampling was wanted)\n\
          \x20 sweep runs every prefetcher and writes no journal: it refuses --prefetcher/--obs/--epoch-ops\n\
+         \x20 trace save simulates nothing: it refuses those three and the policy flags\n\
          \x20 --l1-policy/--l2-policy/--l3-policy: replacement policy per level (default lru)"
     );
     std::process::exit(2);
@@ -69,10 +70,19 @@ struct Args {
 
 /// Splits the flags of command `cmd` into the CLI's own [`Args`] and the
 /// [`RunSpec`] the rest describe: `--l1-policy brrip` is the spec field
-/// `l1_policy`. `sweep` refuses the flags it would ignore.
+/// `l1_policy`. `sweep` and `trace save` refuse the flags they would
+/// ignore.
 fn parse_flags(cmd: &str, rest: &[String]) -> (Args, RunSpec) {
     let refused: &[&str] = match cmd {
         "sweep" => &["--prefetcher", "--obs", "--epoch-ops"],
+        "trace save" => &[
+            "--prefetcher",
+            "--obs",
+            "--epoch-ops",
+            "--l1-policy",
+            "--l2-policy",
+            "--l3-policy",
+        ],
         _ => &[],
     };
     let mut args = Args::default();
@@ -320,7 +330,7 @@ fn main() {
         "info" => cmd_info(),
         "trace" => {
             let Some(sub) = argv.get(2) else { usage() };
-            let (args, spec) = parse_flags(cmd, &argv[3..]);
+            let (args, spec) = parse_flags(&format!("trace {sub}"), &argv[3..]);
             cmd_trace(sub, &args, &spec);
         }
         "run" | "sweep" => {

@@ -142,17 +142,16 @@ impl ExperimentCtx {
     }
 
     /// The four-point LLC capacity sweep of Fig. 4a: the base LLC scaled
-    /// ×1/×2/×4/×8 with the CACTI-style latency growth of Table I's notes.
+    /// ×1/×2/×4/×8 with the CACTI-style latency growth of Table I's notes
+    /// ([`CacheConfig::LLC_LATENCIES`]).
     pub fn llc_sweep(&self) -> Vec<CacheConfig> {
-        let lat = [(10, 30), (11, 35), (13, 41), (15, 48)];
-        (0..4)
-            .map(|i| CacheConfig {
-                name: "L3",
-                size_bytes: self.base.l3.size_bytes << i,
-                assoc: self.base.l3.assoc,
-                tag_latency: lat[i].0,
-                data_latency: lat[i].1,
-                policy: self.base.l3.policy,
+        (0..)
+            .zip(CacheConfig::LLC_LATENCIES)
+            .map(|(step, (tag, data))| CacheConfig {
+                size_bytes: self.base.l3.size_bytes << step,
+                tag_latency: tag,
+                data_latency: data,
+                ..self.base.l3.clone()
             })
             .collect()
     }

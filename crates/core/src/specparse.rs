@@ -195,7 +195,9 @@ impl RunSpec {
     ///
     /// `algo` and `dataset` are required. `scale` defaults to
     /// `default_scale`, `prefetcher` to `droplet`, and `budget` to the
-    /// scale's standard trace budget. An `epoch_ops` must be at least
+    /// scale's standard trace budget. A `prefetcher` beside a non-empty
+    /// `prefetchers` list is refused: one of them would be ignored. An
+    /// `epoch_ops` must be at least
     /// `ceil(budget / MAX_EPOCHS)`: the journal ring keeps [`MAX_EPOCHS`]
     /// epochs and a streaming follower replays every line, so a finer
     /// cadence would record up to one line per op.
@@ -228,7 +230,9 @@ impl RunSpec {
                 "algo" => algo = Some(parse_algo("algo", scalar)?),
                 "dataset" => dataset = Some(parse_dataset("dataset", scalar)?),
                 "scale" => scale = Some(parse_scale("scale", scalar)?),
-                "prefetcher" => prefetcher = Some(parse_prefetcher("prefetcher", scalar)?),
+                "prefetcher" => {
+                    prefetcher = Some((parse_prefetcher("prefetcher", scalar)?, scalar))
+                }
                 "budget" => budget = Some(parse_u64("budget", scalar)?),
                 "epoch_ops" => epoch_ops = Some(parse_u64("epoch_ops", scalar)?),
                 "l1_policy" => policies[0] = Some(parse_policy("l1_policy", scalar)?),
@@ -244,12 +248,19 @@ impl RunSpec {
                 _ => return Err(unknown_field(key, scalar)),
             }
         }
+        if let (Some((_, value)), false) = (prefetcher, prefetchers.is_empty()) {
+            return Err(SpecError::new(
+                "prefetcher",
+                value,
+                "no prefetcher field beside a prefetchers list",
+            ));
+        }
         let scale = scale.unwrap_or(default_scale);
         let spec = RunSpec {
             algorithm: algo.ok_or_else(|| missing_field("algo"))?,
             dataset: dataset.ok_or_else(|| missing_field("dataset"))?,
             scale,
-            prefetcher: prefetcher.unwrap_or(PrefetcherKind::Droplet),
+            prefetcher: prefetcher.map_or(PrefetcherKind::Droplet, |(kind, _)| kind),
             budget: budget.unwrap_or_else(|| WorkloadSpec::default_budget(scale)),
             epoch_ops,
             l1_policy: policies[0],
@@ -309,11 +320,13 @@ impl RunSpec {
     }
 
     /// FNV-1a hash of the trace identity: workload plus budget plus
-    /// warm-up split. Together with [`config_hash`] this is the job key —
-    /// two submissions with equal keys are guaranteed bit-identical
-    /// results, which is what licenses in-flight dedupe and the store.
+    /// warm-up split, plus the sampling cadence when one is set (a result
+    /// reports its epochs; unsampled keys are unchanged). Together with
+    /// [`config_hash`] this is the job key — two submissions with equal
+    /// keys are guaranteed bit-identical results, which is what licenses
+    /// in-flight dedupe and the store.
     pub fn workload_hash(&self) -> u64 {
-        let repr = format!(
+        let mut repr = format!(
             "{:?}|{:?}|{:?}|{}|{}",
             self.algorithm,
             self.dataset,
@@ -321,6 +334,9 @@ impl RunSpec {
             self.budget,
             self.warmup()
         );
+        if let Some(n) = self.epoch_ops {
+            repr.push_str(&format!("|{n}"));
+        }
         fnv1a(repr.as_bytes())
     }
 
@@ -431,6 +447,12 @@ mod tests {
             body(r#"["droplet", "vldp"]"#).unwrap().prefetchers,
             [PrefetcherKind::Droplet, PrefetcherKind::Vldp]
         );
+        // A single prefetcher beside the list is refused, not ignored.
+        let both = body(r#"["ghb"], "prefetcher": "vldp""#).unwrap_err();
+        assert_eq!(
+            (both.field, both.value),
+            ("prefetcher".into(), "vldp".into())
+        );
     }
 
     #[test]
@@ -488,10 +510,13 @@ mod tests {
         assert_ne!(ka, kb);
         // Same machine: config half of the key is shared.
         assert_eq!(ka.split('-').next(), kb.split('-').next());
-        // Sampling cadence does not change the machine identity.
+        // A sampled result reports its epochs, so the cadence is part of
+        // the job identity; the machine half of the key is unchanged.
         let mut c = a.clone();
         c.epoch_ops = Some(5_000);
-        assert_eq!(ka, c.key(&c.config(&base)));
+        let kc = c.key(&c.config(&base));
+        assert_ne!(ka, kc);
+        assert_eq!(ka.split('-').next(), kc.split('-').next());
     }
 
     /// `droplet-sim`'s pairs: each `--flag value`, the flag with `-`

@@ -1,7 +1,7 @@
 //! The `droplet-sim` binary end to end: its flags go through the same
-//! validator as a `droplet-serve` spec, `sweep` refuses the flags it would
-//! ignore, and `trace load` checks an artifact before replaying it and
-//! journals its run.
+//! validator as a `droplet-serve` spec, `sweep` and `trace save` refuse the
+//! flags they would ignore, and `trace load` checks an artifact before
+//! replaying it and journals its run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -72,6 +72,39 @@ fn sweep_refuses_the_flags_it_would_ignore() {
         assert!(out.stdout.is_empty(), "{extra:?} ran the sweep");
     }
     assert!(!journal.exists(), "sweep --obs wrote {}", journal.display());
+}
+
+#[test]
+fn trace_save_refuses_the_flags_it_would_ignore() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("droplet-cli-save-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (artifact, journal) = (dir.join("s.dcol"), dir.join("s-j.jsonl"));
+    for extra in [
+        ["--prefetcher", "vldp"],
+        ["--obs", journal.to_str().unwrap()],
+        ["--epoch-ops", "10000"],
+        ["--l1-policy", "srrip"],
+        ["--l2-policy", "srrip"],
+        ["--l3-policy", "srrip"],
+    ] {
+        let args = [
+            "--trace-file",
+            artifact.to_str().unwrap(),
+            extra[0],
+            extra[1],
+        ];
+        let out = droplet_sim("trace save", &args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {err}");
+        assert!(
+            err.contains(&format!("error: {}: not accepted by trace save", extra[0])),
+            "{extra:?}: {err}"
+        );
+        assert!(!artifact.exists(), "{extra:?} saved the trace");
+    }
+    assert!(!journal.exists(), "trace save --obs wrote a journal");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -3,12 +3,11 @@
 //! ```text
 //! droplet-serve [--addr 127.0.0.1:8642] [--store-dir droplet-store]
 //!               [--scale <tiny|small|sim>] [--threads <n>]
-//!               [--max-concurrent <n>]
 //! ```
 //!
 //! Runs until killed. `--scale` sets the default for specs that omit one;
-//! `--max-concurrent` bounds simultaneous engine runs (default: the
-//! worker-pool width).
+//! `--threads` sets the worker-pool width, which also bounds simultaneous
+//! engine jobs.
 
 use droplet::specparse;
 use droplet_serve::{spawn, ServerOptions};
@@ -17,7 +16,7 @@ use std::path::PathBuf;
 fn usage() -> ! {
     eprintln!(
         "usage: droplet-serve [--addr <host:port>] [--store-dir <dir>|--no-store]\n\
-         \x20                    [--scale <tiny|small|sim>] [--threads <n>] [--max-concurrent <n>]"
+         \x20                    [--scale <tiny|small|sim>] [--threads <n>]"
     );
     std::process::exit(2);
 }
@@ -54,10 +53,6 @@ fn main() {
                 options.threads = Some(flag_value(specparse::parse_positive_usize(
                     "threads", value,
                 )))
-            }
-            "--max-concurrent" => {
-                options.max_concurrent =
-                    flag_value(specparse::parse_positive_usize("max-concurrent", value))
             }
             _ => {
                 eprintln!("error: {flag}: unknown flag");

@@ -48,6 +48,15 @@ impl<T> JobCell<T> {
         })
     }
 
+    /// A cell that already holds `outcome` (a result-store hit): waiting
+    /// returns it at once, and its stream is finished and empty.
+    pub fn ready(outcome: Arc<T>) -> Arc<Self> {
+        let cell = Self::new();
+        cell.stream.finish();
+        cell.publish(Ok(outcome));
+        cell
+    }
+
     /// Blocks until the leader publishes, then returns the shared outcome
     /// (or the leader's failure message).
     pub fn wait(&self) -> Result<Arc<T>, String> {

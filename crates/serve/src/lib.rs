@@ -4,16 +4,20 @@
 //! The service parses experiment specs, flat JSON bodies, into
 //! [`RunSpec`]: [`droplet::specparse::RunSpec`], the one description of a
 //! run, which `droplet-sim` builds from its flags through the same
-//! validator. It schedules simulations on the shared [`droplet::JobPool`]
-//! and [`droplet::TraceCache`] with warm-snapshot fork reuse across a
-//! sweep's cells. Two layers keep repeated work off the engine:
+//! validator. `/run` and `/sweep` share one job path: a request has one
+//! cell per prefetcher, and the cells it must simulate run as one job on
+//! the shared [`droplet::JobPool`] and [`droplet::TraceCache`], with
+//! warm-snapshot fork reuse across a sweep's cells. At most one job per
+//! pool worker runs at a time. Two layers keep repeated work off the
+//! engine, cell by cell:
 //!
-//! * **in-flight dedupe** ([`dedupe`]): concurrent identical submissions —
+//! * **in-flight dedupe** ([`dedupe`]): concurrent identical cells —
 //!   equal `(config_hash, workload_hash)` keys — share one engine run and
 //!   all receive bit-identical results;
 //! * **a content-addressed result store** ([`store`]): completed canonical
 //!   bodies persist on disk under their key and answer later identical
-//!   submissions across restarts.
+//!   cells across restarts, so a partly stored sweep runs only its
+//!   missing cells.
 //!
 //! Everything is hand-rolled over [`std::net`] — the service adds no
 //! dependencies to the workspace.

@@ -1,33 +1,34 @@
 //! The experiment service: spec in, deduped simulation out.
 //!
-//! Request lifecycle for `POST /run`:
+//! `POST /run` and `POST /sweep` share one request lifecycle. A request
+//! has one cell per prefetcher: the spec's `prefetcher` for `/run`, its
+//! `prefetchers` list for `/sweep`.
 //!
 //! 1. the body is validated into a [`RunSpec`] (field-level 400 on
 //!    rejection — the same message `droplet-sim` prints for the flag);
-//! 2. the job key `{config_hash}-{workload_hash}` is checked against the
-//!    on-disk [`ResultStore`] — a hit answers from disk without touching
-//!    the engine;
-//! 3. the in-flight registry is claimed: the first concurrent submission
-//!    leads (spawning the engine under the concurrency limiter), every
-//!    other identical submission follows the leader's cell and shares the
-//!    one result;
-//! 4. the leader persists the canonical body to the store *before*
-//!    retiring the key, so late arrivals that miss the registry are
-//!    guaranteed a store hit.
+//! 2. each cell's job key `{config_hash}-{workload_hash}` is checked
+//!    against the on-disk [`ResultStore`] — a hit answers that cell from
+//!    disk without touching the engine;
+//! 3. every other cell claims its key in the in-flight registry: it
+//!    follows a running job with the same key, or this request leads it;
+//! 4. the cells a request leads run as one engine job on one leader
+//!    thread under the concurrency limiter — a lone cell streams its
+//!    epochs live, two or more share one warm-up through [`run_sweep`];
+//! 5. the leader persists each cell's canonical body to the store
+//!    *before* retiring its key, so late arrivals that miss the registry
+//!    are guaranteed a store hit.
+//!
+//! A leader never waits on another request's cell, so no job can
+//! deadlock, and a partly stored sweep runs only its missing cells.
 //!
 //! Response bodies are canonical — byte-identical whether they came from
-//! the engine, an in-flight merge, or the store (wall-clock time is
-//! excluded; how the bytes were obtained rides in the `X-Droplet-Source`
-//! header). `?stream=1` upgrades the response to chunked JSONL: one line
-//! per measurement epoch as the engine produces them (followers replay
-//! the leader's stream from its first line), then the result line.
-//!
-//! `POST /sweep` fans one workload across a `prefetchers` list on the
-//! shared [`JobPool`] with warm-snapshot forking (`run_sweep`), so a
-//! client's sweep cells reuse one warm-up simulation. Sweep cells bypass
-//! the in-flight registry (the fork path owns their scheduling) but land
-//! in the same store under the same per-cell keys `POST /run` would use —
-//! the results are bit-identical by the fork contract.
+//! the engine, an in-flight merge, or the store, and whether the cell ran
+//! alone or forked from a sweep's warm-up (wall-clock time and fork
+//! lineage are excluded; how the bytes were obtained rides in the
+//! `X-Droplet-Source` header). `/run?stream=1` upgrades the response to
+//! chunked JSONL: one line per measurement epoch as the engine produces
+//! them (followers replay the leader's stream from its first line), then
+//! the result line.
 
 use crate::dedupe::{Claim, Inflight, JobCell};
 use crate::http::{self, ChunkedResponse, Request};
@@ -36,8 +37,8 @@ use droplet::obs::json;
 use droplet::specparse::RunSpec;
 use droplet::trace::SliceSource;
 use droplet::{
-    run_sweep, run_workload_with_stream, JobPool, RunResult, SpecError, SweepCell, SystemConfig,
-    TraceCache,
+    run_sweep, run_workload_with_stream, JobPool, PrefetcherKind, RunResult, SpecError, SweepCell,
+    SystemConfig, TraceCache,
 };
 use droplet_graph::DatasetScale;
 use std::collections::HashMap;
@@ -58,10 +59,9 @@ pub struct ServerOptions {
     pub store_dir: Option<PathBuf>,
     /// Scale used when a spec omits `scale`.
     pub default_scale: DatasetScale,
-    /// Worker-pool width override (`None`: `DROPLET_THREADS`/all cores).
+    /// Worker-pool width override (`None`: `DROPLET_THREADS`/all cores);
+    /// it also bounds concurrent engine jobs.
     pub threads: Option<usize>,
-    /// Maximum concurrent engine runs (0: the pool width).
-    pub max_concurrent: usize,
 }
 
 impl Default for ServerOptions {
@@ -71,7 +71,6 @@ impl Default for ServerOptions {
             store_dir: None,
             default_scale: DatasetScale::Tiny,
             threads: None,
-            max_concurrent: 0,
         }
     }
 }
@@ -79,13 +78,13 @@ impl Default for ServerOptions {
 /// Monotonic service counters (`GET /stats`).
 #[derive(Debug, Default)]
 pub struct Stats {
-    /// Specs accepted on `/run` and `/sweep`.
+    /// Specs accepted on `/run` and `/sweep` (one per request).
     pub submissions: AtomicU64,
-    /// Submissions answered by joining an in-flight identical job.
+    /// Cells answered by joining an in-flight job with the same key.
     pub dedupe_hits: AtomicU64,
-    /// Submissions (or sweep cells) answered from the result store.
+    /// Cells answered from the result store.
     pub store_hits: AtomicU64,
-    /// Simulations actually executed by the engine.
+    /// Cells the engine simulated.
     pub engine_runs: AtomicU64,
     /// Specs rejected with a 400.
     pub rejects: AtomicU64,
@@ -97,7 +96,7 @@ impl Stats {
     }
 }
 
-/// Counting semaphore bounding concurrent engine runs.
+/// Counting semaphore bounding concurrent engine jobs.
 #[derive(Debug)]
 struct Limiter {
     permits: Mutex<usize>,
@@ -142,24 +141,23 @@ impl Drop for LimiterPermit<'_> {
     }
 }
 
-/// How a `/run` submission resolved.
-pub enum Submission {
-    /// Answered from the store — no live epochs to stream.
-    Ready {
-        /// The stored outcome.
-        outcome: Arc<RunOutcome>,
-        /// Always `"store"`.
-        source: &'static str,
-    },
-    /// Running (this submission leads) or joined in flight (it follows);
-    /// consume `cell.stream` live, then [`JobCell::wait`].
-    Pending {
-        /// The shared job cell.
-        cell: Arc<JobCell<RunOutcome>>,
-        /// `"engine"` for the leader, `"inflight"` for followers.
-        source: &'static str,
-    },
+/// How one cell of a submission resolved: consume `cell.stream` live,
+/// then [`JobCell::wait`].
+pub struct Submission {
+    /// The cell's job: already done for a store hit, else running.
+    pub cell: Arc<JobCell<RunOutcome>>,
+    /// `"store"` for a store hit, `"engine"` for a cell this submission
+    /// leads, `"inflight"` for one it follows.
+    pub source: &'static str,
 }
+
+/// A cell the submission leads: its prefetcher, machine, key and job.
+type Led = (
+    PrefetcherKind,
+    SystemConfig,
+    String,
+    Arc<JobCell<RunOutcome>>,
+);
 
 /// A completed job as served to clients: the canonical body plus the
 /// result digest (asserted bit-identical across deduped submissions).
@@ -188,6 +186,7 @@ pub struct ServerState {
     pub store: ResultStore,
     /// Service counters.
     pub stats: Stats,
+    /// One permit per pool worker: at most that many engine jobs run.
     limiter: Limiter,
 }
 
@@ -201,21 +200,16 @@ impl ServerState {
             Some(n) => JobPool::with_threads(n),
             None => JobPool::from_env(),
         };
-        let max_concurrent = if options.max_concurrent == 0 {
-            pool.threads()
-        } else {
-            options.max_concurrent
-        };
         let store = ResultStore::open(options.store_dir.clone())?;
         Ok(Arc::new(ServerState {
             options,
             bases,
             traces: TraceCache::new(),
+            limiter: Limiter::new(pool.threads()),
             pool,
             inflight: Inflight::new(),
             store,
             stats: Stats::default(),
-            limiter: Limiter::new(max_concurrent),
         }))
     }
 
@@ -227,19 +221,22 @@ impl ServerState {
     /// Renders the canonical response body for one completed cell.
     ///
     /// Deterministic by construction: every field derives from the
-    /// simulation state, and the manifest's wall-clock is zeroed — so the
-    /// engine, an in-flight merge, and the store all serve the same
-    /// bytes.
+    /// simulation state, and the manifest's wall-clock and fork lineage
+    /// are cleared — so the engine, an in-flight merge, and the store all
+    /// serve the same bytes for a key, whether its cell ran alone or
+    /// forked from a shared warm-up.
     fn render_body(
         &self,
         spec: &RunSpec,
-        kind: droplet::PrefetcherKind,
+        kind: PrefetcherKind,
         key: &str,
         r: &RunResult,
     ) -> String {
         let mut manifest = r.manifest.clone();
         manifest.workload = Some(spec.workload().label());
         manifest.wall_ms = 0.0;
+        manifest.forked_from = None;
+        manifest.warmup_shared = None;
         json::object(&[
             ("key", json::quote(key)),
             ("digest", json::quote(&format!("{:016x}", r.digest()))),
@@ -266,88 +263,113 @@ impl ServerState {
         ])
     }
 
-    /// Leader path: runs the engine (bounded by the limiter), persists
-    /// the body, publishes to `cell`, retires the key. Panics become a
-    /// failed cell; they never wedge the registry or the cache.
-    fn run_leader(
-        &self,
-        spec: &RunSpec,
-        cfg: &SystemConfig,
-        key: &str,
-        cell: &JobCell<RunOutcome>,
-    ) {
+    /// Leader path: runs every cell one submission leads as one engine
+    /// job under one limiter permit — a lone cell with its live epoch
+    /// stream, two or more over one shared warm-up — then persists each
+    /// body, publishes it to its cell and retires its key. A panic fails
+    /// every led cell; it never wedges the registry or the cache.
+    fn run_leader(&self, spec: &RunSpec, led: &[Led]) {
         let permit = self.limiter.acquire();
         let run = catch_unwind(AssertUnwindSafe(|| {
             let bundle = self.traces.get_or_build(spec.workload(), spec.budget);
-            run_workload_with_stream(
-                &mut SliceSource::new(&bundle.ops),
-                &bundle,
-                cfg,
-                spec.warmup(),
-                Some(Arc::clone(&cell.stream)),
-            )
+            if let [(_, cfg, _, cell)] = led {
+                let stream = Some(Arc::clone(&cell.stream));
+                let mut source = SliceSource::new(&bundle.ops);
+                return vec![run_workload_with_stream(
+                    &mut source,
+                    &bundle,
+                    cfg,
+                    spec.warmup(),
+                    stream,
+                )];
+            }
+            let cells: Vec<SweepCell> = led
+                .iter()
+                .map(|(_, cfg, _, _)| SweepCell {
+                    bundle: Arc::clone(&bundle),
+                    cfg: cfg.clone(),
+                })
+                .collect();
+            run_sweep(&self.pool, &cells, spec.warmup(), true)
         }));
         drop(permit);
-        match run {
-            Ok(r) => {
-                Stats::bump(&self.stats.engine_runs);
-                let outcome = Arc::new(RunOutcome {
-                    key: key.to_string(),
-                    digest: r.digest(),
-                    body: self.render_body(spec, spec.prefetcher, key, &r),
-                });
-                if let Err(e) = self.store.put(key, &outcome.body) {
-                    eprintln!("droplet-serve: store write failed for {key}: {e}");
-                }
-                self.inflight.complete(key, cell, Ok(outcome));
-            }
+        let results = match run {
+            Ok(results) => results,
             Err(panic) => {
                 let msg = panic_message(panic);
-                eprintln!("droplet-serve: engine run {key} panicked: {msg}");
-                self.inflight.complete(key, cell, Err(msg));
+                for (_, _, key, cell) in led {
+                    eprintln!("droplet-serve: engine run {key} panicked: {msg}");
+                    self.inflight.complete(key, cell, Err(msg.clone()));
+                }
+                return;
             }
+        };
+        for ((kind, _, key, cell), r) in led.iter().zip(&results) {
+            Stats::bump(&self.stats.engine_runs);
+            // A sweep runs without live streams: replay the journal to a
+            // streaming follower so it still gets one line per epoch.
+            if let (Some(journal), true) = (&r.journal, led.len() > 1) {
+                journal
+                    .to_jsonl()
+                    .lines()
+                    .for_each(|l| cell.stream.push(l.into()));
+            }
+            let body = self.render_body(spec, *kind, key, r);
+            if let Err(e) = self.store.put(key, &body) {
+                eprintln!("droplet-serve: store write failed for {key}: {e}");
+            }
+            let outcome = RunOutcome {
+                key: key.clone(),
+                digest: r.digest(),
+                body,
+            };
+            self.inflight.complete(key, cell, Ok(Arc::new(outcome)));
         }
     }
 
-    /// Runs (or joins, or loads) the job for `spec`.
-    ///
-    /// A store hit is [`Submission::Ready`] immediately; otherwise the
-    /// submission is [`Submission::Pending`] on a cell whose stream can
-    /// be consumed live while the job runs (the leader's engine executes
-    /// on its own thread).
-    pub fn submit(self: &Arc<Self>, spec: &RunSpec) -> Submission {
+    /// Submits `spec` with one cell per entry of `kinds`, in order: each
+    /// is a store hit, a follower of a running job with its key, or a cell
+    /// this submission leads. The led cells start as one engine job on
+    /// their own thread, so every cell's stream can be consumed live while
+    /// it runs.
+    pub fn resolve(self: &Arc<Self>, spec: &RunSpec, kinds: &[PrefetcherKind]) -> Vec<Submission> {
         Stats::bump(&self.stats.submissions);
-        let cfg = spec.config(self.base_for(spec.scale));
-        let key = spec.key(&cfg);
-        if let Some(body) = self.store.get(&key) {
-            Stats::bump(&self.stats.store_hits);
-            let digest = digest_of(&body).unwrap_or(0);
-            return Submission::Ready {
-                outcome: Arc::new(RunOutcome { key, digest, body }),
-                source: "store",
+        let base = self.base_for(spec.scale);
+        let mut led = Vec::new();
+        let mut cells = Vec::with_capacity(kinds.len());
+        for &kind in kinds {
+            let cfg = spec.config_for(base, kind);
+            let key = spec.key(&cfg);
+            let (cell, source) = if let Some(body) = self.store.get(&key) {
+                Stats::bump(&self.stats.store_hits);
+                let digest = digest_of(&body).unwrap_or(0);
+                let outcome = RunOutcome { key, digest, body };
+                (JobCell::ready(Arc::new(outcome)), "store")
+            } else {
+                match self.inflight.claim(&key) {
+                    Claim::Lead(cell) => {
+                        led.push((kind, cfg, key, Arc::clone(&cell)));
+                        (cell, "engine")
+                    }
+                    Claim::Follow(cell) => {
+                        Stats::bump(&self.stats.dedupe_hits);
+                        (cell, "inflight")
+                    }
+                }
             };
+            cells.push(Submission { cell, source });
         }
-        match self.inflight.claim(&key) {
-            Claim::Lead(cell) => {
-                let state = Arc::clone(self);
-                let (spec, cfg, key_owned, run_cell) =
-                    (spec.clone(), cfg, key.clone(), Arc::clone(&cell));
-                std::thread::spawn(move || {
-                    state.run_leader(&spec, &cfg, &key_owned, &run_cell);
-                });
-                Submission::Pending {
-                    cell,
-                    source: "engine",
-                }
-            }
-            Claim::Follow(cell) => {
-                Stats::bump(&self.stats.dedupe_hits);
-                Submission::Pending {
-                    cell,
-                    source: "inflight",
-                }
-            }
+        if !led.is_empty() {
+            let (state, spec) = (Arc::clone(self), spec.clone());
+            std::thread::spawn(move || state.run_leader(&spec, &led));
         }
+        cells
+    }
+
+    /// Runs (or joins, or loads) the job for `spec`: the one-cell case of
+    /// [`ServerState::resolve`], under `spec.prefetcher`.
+    pub fn submit(self: &Arc<Self>, spec: &RunSpec) -> Submission {
+        self.resolve(spec, &[spec.prefetcher]).remove(0)
     }
 
     /// [`ServerState::submit`] driven to completion (non-streaming
@@ -356,67 +378,8 @@ impl ServerState {
         self: &Arc<Self>,
         spec: &RunSpec,
     ) -> (Result<Arc<RunOutcome>, String>, &'static str) {
-        match self.submit(spec) {
-            Submission::Ready { outcome, source } => (Ok(outcome), source),
-            Submission::Pending { cell, source } => (cell.wait(), source),
-        }
-    }
-
-    /// `POST /sweep`: one workload across `spec.prefetchers` over a
-    /// shared warm-up on the pool. Returns the per-cell canonical bodies
-    /// in list order plus the source tag.
-    pub fn submit_sweep(&self, spec: &RunSpec) -> Result<(Vec<String>, &'static str), String> {
-        Stats::bump(&self.stats.submissions);
-        let base = self.base_for(spec.scale);
-        let cells: Vec<(droplet::PrefetcherKind, SystemConfig, String)> = spec
-            .prefetchers
-            .iter()
-            .map(|&kind| {
-                let cfg = spec.config_for(base, kind);
-                let key = spec.key(&cfg);
-                (kind, cfg, key)
-            })
-            .collect();
-        let stored: Vec<Option<String>> = cells
-            .iter()
-            .map(|(_, _, key)| self.store.get(key))
-            .collect();
-        if stored.iter().all(|b| b.is_some()) {
-            self.stats
-                .store_hits
-                .fetch_add(cells.len() as u64, Ordering::Relaxed);
-            return Ok((stored.into_iter().flatten().collect(), "store"));
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let bundle = self.traces.get_or_build(spec.workload(), spec.budget);
-            let sweep_cells: Vec<SweepCell> = cells
-                .iter()
-                .map(|(_, cfg, _)| SweepCell {
-                    bundle: Arc::clone(&bundle),
-                    cfg: cfg.clone(),
-                })
-                .collect();
-            run_sweep(&self.pool, &sweep_cells, spec.warmup(), true)
-        }));
-        let results = match run {
-            Ok(results) => results,
-            Err(panic) => return Err(panic_message(panic)),
-        };
-        self.stats
-            .engine_runs
-            .fetch_add(cells.len() as u64, Ordering::Relaxed);
-        let bodies: Vec<String> = cells
-            .iter()
-            .zip(&results)
-            .map(|((kind, _, key), r)| {
-                let body = self.render_body(spec, *kind, key, r);
-                if let Err(e) = self.store.put(key, &body) {
-                    eprintln!("droplet-serve: store write failed for {key}: {e}");
-                }
-                body
-            })
-            .collect();
-        Ok((bodies, "engine"))
+        let submission = self.submit(spec);
+        (submission.cell.wait(), submission.source)
     }
 
     fn stats_body(&self) -> String {
@@ -484,95 +447,82 @@ fn error_body(e: &SpecError) -> String {
 fn respond_streaming(
     stream: &mut TcpStream,
     source: &str,
-    cell: Option<&JobCell<RunOutcome>>,
-    ready: Option<Arc<RunOutcome>>,
+    cell: &JobCell<RunOutcome>,
 ) -> io::Result<()> {
     let mut out = ChunkedResponse::start(
         stream,
         "application/x-ndjson",
         &[("X-Droplet-Source", source)],
     )?;
-    if let Some(cell) = cell {
-        let mut cursor = 0usize;
-        while let Some(line) = cell.stream.next_line(cursor) {
-            cursor += 1;
-            out.write_line(&line)?;
-        }
+    let mut cursor = 0usize;
+    while let Some(line) = cell.stream.next_line(cursor) {
+        cursor += 1;
+        out.write_line(&line)?;
     }
-    let final_line = match (ready, cell) {
-        (Some(outcome), _) => outcome.body.clone(),
-        (None, Some(cell)) => match cell.wait() {
-            Ok(outcome) => outcome.body.clone(),
-            Err(msg) => json::object(&[("error", json::quote(&msg))]),
-        },
-        (None, None) => unreachable!("a submission is ready or pending"),
+    let final_line = match cell.wait() {
+        Ok(outcome) => outcome.body.clone(),
+        Err(msg) => json::object(&[("error", json::quote(&msg))]),
     };
     out.write_line(&final_line)?;
     out.finish()
 }
 
-fn handle_run(state: &Arc<ServerState>, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
-    let spec = match RunSpec::parse(&req.body, state.options.default_scale) {
+/// `POST /run` (one cell, `spec.prefetcher`) and `POST /sweep` (one cell
+/// per entry of `spec.prefetchers`). Each endpoint refuses the field the
+/// other takes. The source header is `engine` if the request led any
+/// cell, else `inflight` if it followed any, else `store`.
+fn handle_submit(
+    state: &Arc<ServerState>,
+    req: &Request,
+    stream: &mut TcpStream,
+    sweep: bool,
+) -> io::Result<()> {
+    let parsed = RunSpec::parse(&req.body, state.options.default_scale).and_then(|spec| {
+        if spec.prefetchers.is_empty() != sweep {
+            return Ok(spec);
+        }
+        let names: Vec<&str> = spec.prefetchers.iter().map(|k| k.name()).collect();
+        Err(SpecError {
+            field: "prefetchers".to_string(),
+            value: format!("[{}]", names.join(",")),
+            expected: if sweep {
+                "a non-empty list of prefetcher names"
+            } else {
+                "no list: /run takes one prefetcher, /sweep a list"
+            },
+        })
+    });
+    let spec = match parsed {
         Ok(spec) => spec,
         Err(e) => {
             Stats::bump(&state.stats.rejects);
             return http::respond(stream, 400, "application/json", &[], &error_body(&e));
         }
     };
-    let want_stream = matches!(req.query_value("stream"), Some("1" | "true"));
-    match state.submit(&spec) {
-        Submission::Ready { outcome, source } if want_stream => {
-            respond_streaming(stream, source, None, Some(outcome))
-        }
-        Submission::Ready { outcome, source } => http::respond(
-            stream,
-            200,
-            "application/json",
-            &[("X-Droplet-Source", source)],
-            &outcome.body,
-        ),
-        Submission::Pending { cell, source } if want_stream => {
-            respond_streaming(stream, source, Some(&cell), None)
-        }
-        Submission::Pending { cell, source } => match cell.wait() {
-            Ok(outcome) => http::respond(
-                stream,
-                200,
-                "application/json",
-                &[("X-Droplet-Source", source)],
-                &outcome.body,
-            ),
-            Err(msg) => http::respond(
-                stream,
-                500,
-                "application/json",
-                &[],
-                &json::object(&[("error", json::quote(&msg))]),
-            ),
-        },
+    let kinds = if sweep {
+        spec.prefetchers.clone()
+    } else {
+        vec![spec.prefetcher]
+    };
+    let cells = state.resolve(&spec, &kinds);
+    let source = ["engine", "inflight"]
+        .into_iter()
+        .find(|&s| cells.iter().any(|c| c.source == s))
+        .unwrap_or("store");
+    if !sweep && matches!(req.query_value("stream"), Some("1" | "true")) {
+        return respond_streaming(stream, source, &cells[0].cell);
     }
-}
-
-fn handle_sweep(state: &Arc<ServerState>, req: &Request, stream: &mut TcpStream) -> io::Result<()> {
-    let spec = match RunSpec::parse(&req.body, state.options.default_scale) {
-        Ok(spec) if spec.prefetchers.is_empty() => {
-            Stats::bump(&state.stats.rejects);
-            let e = SpecError {
-                field: "prefetchers".to_string(),
-                value: String::new(),
-                expected: "a non-empty list of prefetcher names",
+    let bodies: Result<Vec<String>, String> = cells
+        .iter()
+        .map(|c| c.cell.wait().map(|outcome| outcome.body.clone()))
+        .collect();
+    match bodies {
+        Ok(mut bodies) => {
+            let body = if sweep {
+                format!("{{\"results\": [{}]}}", bodies.join(", "))
+            } else {
+                bodies.remove(0)
             };
-            return http::respond(stream, 400, "application/json", &[], &error_body(&e));
-        }
-        Ok(spec) => spec,
-        Err(e) => {
-            Stats::bump(&state.stats.rejects);
-            return http::respond(stream, 400, "application/json", &[], &error_body(&e));
-        }
-    };
-    match state.submit_sweep(&spec) {
-        Ok((bodies, source)) => {
-            let body = format!("{{\"results\": [{}]}}", bodies.join(", "));
             http::respond(
                 stream,
                 200,
@@ -604,8 +554,8 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) -> io::Res
             &[],
             &state.stats_body(),
         ),
-        ("POST", "/run") => handle_run(state, &req, &mut stream),
-        ("POST", "/sweep") => handle_sweep(state, &req, &mut stream),
+        ("POST", "/run") => handle_submit(state, &req, &mut stream, false),
+        ("POST", "/sweep") => handle_submit(state, &req, &mut stream, true),
         ("GET", path) if path.starts_with("/result/") => {
             let key = &path["/result/".len()..];
             if !valid_key(key) {

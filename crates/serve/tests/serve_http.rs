@@ -1,6 +1,7 @@
 //! End-to-end tests over a live `droplet-serve` socket: in-flight dedupe,
 //! content-store round-trips across restart, field-level spec rejection,
-//! live epoch streaming, and fork-shared sweeps.
+//! live epoch streaming, and fork-shared sweeps whose cells take the same
+//! store hits and dedupe as `/run`.
 
 use droplet::experiments::ExperimentCtx;
 use droplet::run_workload;
@@ -9,6 +10,7 @@ use droplet_serve::http::{header, request};
 use droplet_serve::{spawn, RunSpec, ServerOptions};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::Barrier;
 
 const SPEC: &str = r#"{"algo": "pr", "dataset": "kron", "scale": "tiny", "prefetcher": "droplet", "budget": 30000}"#;
 
@@ -24,6 +26,35 @@ fn boot(store_dir: Option<PathBuf>) -> droplet_serve::ServerHandle {
         ..ServerOptions::default()
     })
     .expect("bind test server")
+}
+
+/// BFS on Tiny Kronecker, 30,000 ops, plus `extra` (`, "field": value`).
+fn bfs(extra: &str) -> String {
+    format!(r#"{{"algo": "bfs", "dataset": "kron", "scale": "tiny", "budget": 30000{extra}}}"#)
+}
+
+fn engine_runs(server: &droplet_serve::ServerHandle) -> u64 {
+    server.state().stats.engine_runs.load(Ordering::Relaxed)
+}
+
+/// POSTs every `(path, body)` at once, each from its own thread released
+/// by one barrier; returns the statuses and bodies in order.
+fn post_together(addr: &str, posts: &[(&str, &str)]) -> Vec<(u16, String)> {
+    let start = Barrier::new(posts.len());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = posts
+            .iter()
+            .map(|&(path, body)| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    let (status, _, body) = request(addr, "POST", path, body).unwrap();
+                    (status, body)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
 }
 
 fn field(body: &str, name: &str) -> String {
@@ -172,7 +203,26 @@ fn spec_rejection_matches_cli_diagnostics() {
     .unwrap();
     assert_eq!(status, 400);
     assert_eq!(field(&body, "field"), "epoch_ops");
-    assert_eq!(server.state().stats.rejects.load(Ordering::Relaxed), 4);
+    // Each endpoint refuses the field the other takes.
+    let (status, _, body) = request(
+        &addr,
+        "POST",
+        "/run",
+        r#"{"algo": "pr", "dataset": "kron", "prefetchers": ["vldp", "ghb"]}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(field(&body, "field"), "prefetchers");
+    let (status, _, body) = request(
+        &addr,
+        "POST",
+        "/sweep",
+        r#"{"algo": "pr", "dataset": "kron", "prefetcher": "vldp", "prefetchers": ["ghb"]}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(field(&body, "field"), "prefetcher");
+    assert_eq!(server.state().stats.rejects.load(Ordering::Relaxed), 6);
     assert_eq!(server.state().stats.engine_runs.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
@@ -264,5 +314,120 @@ fn healthz_and_stats_answer() {
     }
     let (status, _, _) = request(&addr, "GET", "/nope", "").unwrap();
     assert_eq!(status, 404);
+    server.shutdown();
+}
+
+/// A sweep whose `droplet` cell a `/run` already stored simulates only its
+/// other cell, and answers the bytes a cold sweep of both cells does.
+#[test]
+fn a_partly_stored_sweep_runs_only_its_missing_cells() {
+    let dir = tmp_store("partial");
+    let server = boot(Some(dir.clone()));
+    let addr = server.addr_string();
+    let (status, _, run) = request(&addr, "POST", "/run", &bfs("")).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(engine_runs(&server), 1);
+    let sweep = bfs(r#", "prefetchers": ["droplet", "none"]"#);
+    let (status, headers, body) = request(&addr, "POST", "/sweep", &sweep).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "X-Droplet-Source"), Some("engine"));
+    assert_eq!(engine_runs(&server), 2, "only the missing cell runs");
+    assert_eq!(server.state().stats.store_hits.load(Ordering::Relaxed), 1);
+    assert!(
+        body.starts_with(&format!("{{\"results\": [{run}, ")),
+        "{body}"
+    );
+    // A cold server forks both cells from one warm-up: the same bytes.
+    let cold = boot(None);
+    let (_, _, cold_body) = request(&cold.addr_string(), "POST", "/sweep", &sweep).unwrap();
+    assert_eq!(engine_runs(&cold), 2);
+    assert_eq!(body, cold_body);
+    cold.shutdown();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four concurrent identical two-cell sweeps simulate each cell once;
+/// every other cell is answered in flight or from the store.
+#[test]
+fn concurrent_identical_sweeps_share_each_cell() {
+    let dir = tmp_store("sweeps");
+    let server = boot(Some(dir.clone()));
+    let sweep = bfs(r#", "prefetchers": ["droplet", "none"]"#);
+    let responses = post_together(&server.addr_string(), &[("/sweep", sweep.as_str()); 4]);
+    let stats = &server.state().stats;
+    assert_eq!(engine_runs(&server), 2, "one engine run per distinct cell");
+    assert_eq!(stats.submissions.load(Ordering::Relaxed), 4);
+    assert_eq!(
+        stats.dedupe_hits.load(Ordering::Relaxed) + stats.store_hits.load(Ordering::Relaxed),
+        6
+    );
+    for (status, body) in &responses {
+        assert_eq!(*status, 200);
+        assert_eq!(body, &responses[0].1);
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `/run` racing a one-cell `/sweep` of the same key shares its engine
+/// run with it.
+#[test]
+fn a_run_racing_a_one_cell_sweep_shares_its_engine_run() {
+    let dir = tmp_store("race");
+    let server = boot(Some(dir.clone()));
+    let run = bfs(r#", "prefetcher": "vldp""#);
+    let sweep = bfs(r#", "prefetchers": ["vldp"]"#);
+    let responses = post_together(&server.addr_string(), &[("/run", &run), ("/sweep", &sweep)]);
+    assert_eq!(engine_runs(&server), 1);
+    assert_eq!((responses[0].0, responses[1].0), (200, 200));
+    assert_eq!(
+        responses[1].1,
+        format!("{{\"results\": [{}]}}", responses[0].1)
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sampling cadence is part of a job's identity: a plain run after a
+/// sampled one of the same workload gets the body a fresh engine returns,
+/// not the sampled run's.
+#[test]
+fn a_plain_run_after_a_sampled_one_gets_a_fresh_engine_body() {
+    let dir = tmp_store("cadence");
+    let server = boot(Some(dir.clone()));
+    let addr = server.addr_string();
+    let (status, _, sampled) =
+        request(&addr, "POST", "/run", &bfs(r#", "epoch_ops": 2000"#)).unwrap();
+    assert_eq!(status, 200);
+    assert_ne!(field(&sampled, "epochs"), "0");
+    let (status, headers, plain) = request(&addr, "POST", "/run", &bfs("")).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "X-Droplet-Source"), Some("engine"));
+    let fresh = boot(None);
+    let (_, _, expected) = request(&fresh.addr_string(), "POST", "/run", &bfs("")).unwrap();
+    assert_eq!(plain, expected);
+    assert_eq!(field(&plain, "epochs"), "0");
+    fresh.shutdown();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cells a sweep leads run without live streams; each replays its
+/// journal, so a streaming follower still gets one line per epoch.
+#[test]
+fn sweep_led_cells_stream_one_line_per_epoch() {
+    let server = boot(None);
+    let body = bfs(r#", "epoch_ops": 2000, "prefetchers": ["droplet", "none"]"#);
+    let spec = RunSpec::parse(&body, DatasetScale::Tiny).unwrap();
+    for led in server.state().resolve(&spec, &spec.prefetchers) {
+        assert_eq!(led.source, "engine");
+        let body = &led.cell.wait().unwrap().body;
+        let lines = led.cell.stream.len();
+        assert!(
+            lines > 0 && body.contains(&format!("\"epochs\": {lines},")),
+            "{body}"
+        );
+    }
     server.shutdown();
 }
