@@ -42,7 +42,7 @@ fn forked_run_is_lockstep_identical_to_replay() {
 /// Finds a diverging stream for a fork with `mutation` injected into its
 /// restore path, shrinks it, and checks the repro is tiny and still
 /// diverges — the proof the lockstep differ would catch an incomplete
-/// [`droplet::SystemSnapshot`].
+/// [`droplet::WarmupSnapshot`].
 fn catch_and_shrink(mutation: ForkMutation) {
     let b = bundle();
     let mut h = ForkHarness::new(&b, SystemConfig::test_scale(), WARMUP, mutation);

@@ -244,8 +244,8 @@ impl SystemConfig {
     /// warm-up* — the partition that decides when two sweep points may
     /// share one warmed snapshot ([`crate::fork`]).
     ///
-    /// Under demand-only warm-up, prefetch engines, the MPP, and the
-    /// adaptive controller are inert until `warmup_done`, so the
+    /// Warm-up is demand-only: the prefetch engine, the MPP, and the
+    /// adaptive controller are built by `warmup_done`, so the
     /// **fork-safe** fields — `prefetcher`, `stream`, `ghb`, `vldp`, `mpp`,
     /// `mrb_entries` (the MRB is only filled by prefetch paths, hence empty
     /// at the boundary), `adaptive_epoch_misses`, and `obs` (measurement
@@ -266,7 +266,7 @@ impl SystemConfig {
             dtlb_entries,
             tlb_walk_latency,
             mshrs,
-            // Fork-safe: inert until `warmup_done` under demand-only warm-up.
+            // Fork-safe: no warmed state depends on them (see above).
             prefetcher: _,
             stream: _,
             ghb: _,

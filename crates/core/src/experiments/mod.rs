@@ -201,7 +201,7 @@ mod tests {
             scale: DatasetScale::Tiny,
         });
         let ctx = ExperimentCtx::tiny().with_budget(30_000);
-        // The first two share a warm-up (the prefetcher is inert before
+        // The first two share a warm-up (the prefetcher is built after
         // it); dropping the L2 changes the warmed hierarchy.
         let cfgs = [
             ctx.base.clone(),

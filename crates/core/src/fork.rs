@@ -3,8 +3,8 @@
 //! machine, then fan the measurement region out across sweep
 //! configurations.
 //!
-//! Warm-up is demand-only ([`System`] keeps its prefetch machinery inert
-//! until `warmup_done`), so every configuration sharing a
+//! Warm-up is demand-only ([`System`] builds its prefetch machinery in
+//! `warmup_done`), so every configuration sharing a
 //! [`SystemConfig::warmup_key`] reaches a bit-identical state at the
 //! boundary; simulating that prefix once and forking is exact, not an
 //! approximation — see DESIGN.md §14.
@@ -12,7 +12,8 @@
 use crate::config::SystemConfig;
 use crate::pool::JobPool;
 use crate::system::{
-    assemble_result, feed_measure, feed_warmup, ForkMutation, RunResult, RunShape, System,
+    assemble_result, config_hash, feed_measure, feed_warmup, ForkMutation, RunResult, RunShape,
+    System, WarmState,
 };
 use droplet_cpu::CoreEngine;
 use droplet_gap::TraceBundle;
@@ -20,13 +21,17 @@ use droplet_trace::{SliceSource, TraceSource};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A warmed machine at the warm-up boundary: the memory system snapshot
-/// plus the core engine that produced it, ready to fan measurement runs
-/// out from. Owned and `Sync`, so one snapshot serves forks on many
-/// worker threads.
+/// A warmed machine at the warm-up boundary: everything warm-up evolved
+/// in the memory system (page table, DTLB, caches, DRAM, MSHRs) plus the
+/// core engine that produced it, ready to fan measurement runs out from.
+/// Owned and `Sync`, so one snapshot serves forks on many worker threads.
 pub struct WarmupSnapshot {
-    system: crate::system::SystemSnapshot,
+    warm: WarmState,
     core: CoreEngine,
+    /// The parent's [`SystemConfig::warmup_key`], which every fork shares.
+    warmup_key: u64,
+    /// The parent's simulated-machine hash ([`config_hash`]).
+    config_hash: u64,
     /// Warm-up ops the caller requested.
     requested: u64,
     /// Warm-up ops actually applied after the half-trace clamp.
@@ -42,13 +47,19 @@ impl WarmupSnapshot {
     /// The parent's simulated-machine hash (recorded as `forked_from` in
     /// forked manifests).
     pub fn parent_config_hash(&self) -> u64 {
-        self.system.parent_config_hash()
+        self.config_hash
     }
 
     /// Restores a live (system, core) pair under `cfg`, positioned at the
     /// warm-up boundary with the measurement window still unopened. The
     /// step-by-step entry point for harnesses (the conformance lockstep
     /// differ); sweep drivers use [`run_forked`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` disagrees with the parent on any warmup-relevant
+    /// field ([`SystemConfig::warmup_key`]); such sweeps must fall back to
+    /// full replay.
     pub fn resume<'a>(
         &self,
         cfg: &SystemConfig,
@@ -65,7 +76,12 @@ impl WarmupSnapshot {
         bundle: &'a TraceBundle,
         mutation: ForkMutation,
     ) -> (System<'a>, CoreEngine) {
-        let system = System::fork_mutated(&self.system, cfg, bundle, mutation);
+        assert_eq!(
+            self.warmup_key,
+            cfg.warmup_key(),
+            "fork requires identical warmup-relevant configuration"
+        );
+        let system = System::fork_mutated(&self.warm, cfg, bundle, mutation);
         (system, self.core.clone())
     }
 }
@@ -90,13 +106,14 @@ pub fn warm_snapshot_from(
     cfg: &SystemConfig,
     warmup_ops: usize,
 ) -> WarmupSnapshot {
-    let applied = (warmup_ops as u64).min(source.op_count() / 2);
     let mut engine = CoreEngine::new(cfg.core);
     let mut system = System::new(cfg.clone(), bundle);
-    feed_warmup(&mut engine, source, &mut system, applied);
+    let applied = feed_warmup(&mut engine, source, &mut system, warmup_ops);
     WarmupSnapshot {
-        system: system.snapshot(),
+        warm: system.snapshot(),
         core: engine,
+        warmup_key: cfg.warmup_key(),
+        config_hash: config_hash(cfg),
         requested: warmup_ops as u64,
         applied,
     }

@@ -52,7 +52,7 @@ pub use pool::JobPool;
 pub use specparse::SpecError;
 pub use system::{
     config_hash, run_workload, run_workload_from, run_workload_with_stream, ForkMutation,
-    RunResult, System, SystemProbe, SystemSnapshot, SystemStats,
+    RunResult, System, SystemProbe, SystemStats,
 };
 pub use trace_cache::TraceCache;
 

@@ -196,11 +196,12 @@ impl RunSpec {
     /// `algo` and `dataset` are required. `scale` defaults to
     /// `default_scale`, `prefetcher` to `droplet`, and `budget` to the
     /// scale's standard trace budget. A `prefetcher` beside a non-empty
-    /// `prefetchers` list is refused: one of them would be ignored. An
-    /// `epoch_ops` must be at least
-    /// `ceil(budget / MAX_EPOCHS)`: the journal ring keeps [`MAX_EPOCHS`]
-    /// epochs and a streaming follower replays every line, so a finer
-    /// cadence would record up to one line per op.
+    /// `prefetchers` list is refused: one of them would be ignored. The
+    /// list may name each configuration once (aliases resolved), so it
+    /// holds at most one entry per [`PrefetcherKind`]. An `epoch_ops` must
+    /// be at least `ceil(budget / MAX_EPOCHS)`: the journal ring keeps
+    /// [`MAX_EPOCHS`] epochs and a streaming follower replays every line,
+    /// so a finer cadence would record up to one line per op.
     pub fn from_fields(
         fields: &[(String, SpecValue)],
         default_scale: DatasetScale,
@@ -219,7 +220,15 @@ impl RunSpec {
                 SpecValue::List(items) => {
                     if key == "prefetchers" {
                         for item in items {
-                            prefetchers.push(parse_prefetcher("prefetchers", item)?);
+                            let kind = parse_prefetcher("prefetchers", item)?;
+                            if prefetchers.contains(&kind) {
+                                return Err(SpecError::new(
+                                    "prefetchers",
+                                    item,
+                                    "a list of distinct prefetcher names",
+                                ));
+                            }
+                            prefetchers.push(kind);
                         }
                         continue;
                     }
@@ -446,6 +455,11 @@ mod tests {
         assert_eq!(
             body(r#"["droplet", "vldp"]"#).unwrap().prefetchers,
             [PrefetcherKind::Droplet, PrefetcherKind::Vldp]
+        );
+        // A configuration listed twice, under any of its names, is refused.
+        assert_eq!(
+            body(r#"["none", "vldp", "baseline"]"#).unwrap_err().to_string(),
+            "prefetchers: invalid value \"baseline\" (expected a list of distinct prefetcher names)"
         );
         // A single prefetcher beside the list is refused, not ignored.
         let both = body(r#"["ghb"], "prefetcher": "vldp""#).unwrap_err();

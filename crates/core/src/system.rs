@@ -62,24 +62,22 @@ impl SystemStats {
 pub struct System<'a> {
     cfg: SystemConfig,
     bundle: &'a TraceBundle,
-    page_table: PageTable,
-    dtlb: Tlb,
-    l1: SetAssocCache,
-    l2: Option<SetAssocCache>,
-    l3: SetAssocCache,
-    dram: Dram,
+    /// Everything warm-up evolves; a fork snapshot is a clone of it.
+    warm: WarmState,
     mrb: Mrb,
+    /// The prefetch engine, MPP and adaptive controller `cfg` asks for,
+    /// built by `warmup_done`: warm-up is demand-only by construction,
+    /// which makes the warmed state a pure function of the warmup-relevant
+    /// configuration ([`SystemConfig::warmup_key`]) and lets forked sweeps
+    /// share one snapshot across every prefetcher configuration.
     core_pf: Option<Box<dyn Prefetcher>>,
     mpp: Option<Mpp>,
+    adaptive: Option<AdaptiveState>,
     stats: SystemStats,
     pf_buf: Vec<PrefetchRequest>,
     mpp_buf: Vec<MppCandidate>,
-    /// In-flight demand misses (MSHR occupancy).
-    mshr: MshrFile,
     /// Demand-promotion latency cap; derived from `cfg` only, computed once.
     promote_budget: Cycle,
-    /// Probing controller for the adaptive DROPLET extension.
-    adaptive: Option<AdaptiveState>,
     /// Epoch sampler, present only when `cfg.obs` is set. Boxed so the
     /// disabled case costs one pointer in the `System` and a single
     /// `is_some` branch per demand access.
@@ -87,12 +85,23 @@ pub struct System<'a> {
     /// Retire-clock cycle at which the measurement window opened (0 until
     /// `warmup_done` runs).
     warmup_boundary: Cycle,
-    /// Whether prefetch engines (and the adaptive controller) are live.
-    /// `false` until `warmup_done`: warm-up is demand-only, which makes the
-    /// warmed state a pure function of the warmup-relevant configuration
-    /// ([`SystemConfig::warmup_key`]) and lets forked sweeps share one
-    /// snapshot across every prefetcher configuration.
-    pf_enabled: bool,
+}
+
+/// Everything in a [`System`] that evolves during warm-up: page table,
+/// DTLB (its hit memo included), cache arrays, DRAM and in-flight demand
+/// misses (MSHR occupancy). Warm-up builds no prefetch engine, so nothing
+/// else changes before the boundary: the MRB is only filled by prefetch
+/// paths, statistics and the sampler are reset by `warmup_done`, and the
+/// prefetch/candidate buffers are empty between accesses.
+#[derive(Clone)]
+pub(crate) struct WarmState {
+    page_table: PageTable,
+    dtlb: Tlb,
+    l1: SetAssocCache,
+    l2: Option<SetAssocCache>,
+    l3: SetAssocCache,
+    dram: Dram,
+    mshr: MshrFile,
 }
 
 /// Epoch-probing state for adaptive DROPLET (Section VII-B extension):
@@ -123,127 +132,65 @@ impl<'a> System<'a> {
                 addr = addr.add_bytes(PAGE_BYTES);
             }
         }
-
-        let core_pf = build_core_pf(&cfg);
-        let mpp = build_mpp(&cfg, bundle);
-
-        let cfg_mshrs = cfg.mshrs.max(1);
-        let promote_budget = demand_promotion_budget(&cfg);
-        let adaptive_state = build_adaptive(&cfg);
-        let obs = cfg.obs.map(|c| Box::new(ObsRecorder::new(c)));
-        System {
+        let warm = WarmState {
+            page_table,
             dtlb: Tlb::new(cfg.dtlb_entries),
             l1: SetAssocCache::new(cfg.l1.clone()),
             l2: cfg.l2.clone().map(SetAssocCache::new),
             l3: SetAssocCache::new(cfg.l3.clone()),
             dram: Dram::new(cfg.dram.clone()),
+            mshr: MshrFile::new(cfg.mshrs.max(1)),
+        };
+        Self::with_warm(cfg, bundle, warm)
+    }
+
+    /// The system `cfg` describes around `warm`, its measurement window
+    /// unopened: the one constructor of both a cold system and a fork.
+    fn with_warm(cfg: SystemConfig, bundle: &'a TraceBundle, warm: WarmState) -> Self {
+        System {
             mrb: Mrb::new(cfg.mrb_entries),
-            core_pf,
-            mpp,
+            core_pf: None,
+            mpp: None,
+            adaptive: None,
+            promote_budget: demand_promotion_budget(&cfg),
+            obs: cfg.obs.map(|c| Box::new(ObsRecorder::new(c))),
             cfg,
             bundle,
-            page_table,
-            promote_budget,
+            warm,
             stats: SystemStats::default(),
             pf_buf: Vec::with_capacity(64),
             mpp_buf: Vec::with_capacity(64),
-            mshr: MshrFile::new(cfg_mshrs),
-            adaptive: adaptive_state,
-            obs,
             warmup_boundary: 0,
-            pf_enabled: false,
         }
     }
 
-    /// Captures everything that evolved during warm-up into an owned,
-    /// `'static` snapshot. Meant to be taken at the warm-up boundary
-    /// (before `warmup_done`); [`crate::fork::WarmupSnapshot::resume`] then
-    /// restores it under any configuration sharing the same
-    /// [`SystemConfig::warmup_key`].
-    pub fn snapshot(&self) -> SystemSnapshot {
-        debug_assert!(
-            !self.pf_enabled,
-            "snapshots are taken at the warm-up boundary, before prefetch goes live"
-        );
-        debug_assert!(
-            self.mrb.is_empty(),
-            "MRB must be empty at the warm-up boundary under demand-only warm-up"
-        );
-        SystemSnapshot {
-            cfg: self.cfg.clone(),
-            page_table: self.page_table.clone(),
-            dtlb: self.dtlb.clone(),
-            l1: self.l1.clone(),
-            l2: self.l2.clone(),
-            l3: self.l3.clone(),
-            dram: self.dram.clone(),
-            mshr: self.mshr.clone(),
-            stats: self.stats,
-            warmup_boundary: self.warmup_boundary,
-        }
+    /// Everything warm-up evolved, taken at the warm-up boundary (before
+    /// `warmup_done`) for [`crate::fork::WarmupSnapshot`].
+    pub(crate) fn snapshot(&self) -> WarmState {
+        self.warm.clone()
     }
 
-    /// Rebuilds a warmed system from `snap` under `cfg`, swapping in the
-    /// fork-safe knobs (prefetcher wiring, adaptive controller, obs). Any
-    /// `mutation` other than [`ForkMutation::None`] injects a
-    /// snapshot-restore fault, for the conformance self-test that proves
-    /// the fork-vs-scratch differ catches incomplete snapshots.
-    ///
-    /// Bit-exactness argument: warm-up is demand-only, so at the boundary
-    /// (a) the predictors, MPP, and adaptive controller are pristine, and
-    /// the fork builds them fresh from `cfg` — exactly what a from-scratch
-    /// run holds there; (b) the MRB is empty, so it is rebuilt at the
-    /// fork's `mrb_entries`; (c) the sampler never ran, so it starts fresh.
-    /// Only demand-path state — caches, the DTLB with its hit memo, page
-    /// table, DRAM, MSHRs — is restored from the snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` disagrees with the snapshot's configuration on any
-    /// warmup-relevant field ([`SystemConfig::warmup_key`]); such sweeps
-    /// must fall back to full replay.
-    #[doc(hidden)]
-    pub fn fork_mutated(
-        snap: &SystemSnapshot,
+    /// A system under `cfg` over a copy of `warm`, positioned at the
+    /// warm-up boundary. Bit-exact against a from-scratch run because both
+    /// build everything `warm` leaves out the same way: `with_warm` the
+    /// MRB, sampler and buffers, `warmup_done` the prefetch machinery. Any
+    /// `mutation` other than [`ForkMutation::None`] knocks one part out of
+    /// the restored copy, for the conformance self-test that proves the
+    /// fork-vs-scratch differ catches incomplete snapshots. The caller
+    /// checks that `cfg` shares the parent's [`SystemConfig::warmup_key`].
+    pub(crate) fn fork_mutated(
+        warm: &WarmState,
         cfg: &SystemConfig,
         bundle: &'a TraceBundle,
         mutation: ForkMutation,
     ) -> Self {
-        assert_eq!(
-            snap.cfg.warmup_key(),
-            cfg.warmup_key(),
-            "fork requires identical warmup-relevant configuration"
-        );
-        let dtlb = match mutation {
-            ForkMutation::SkipDtlb => Tlb::new(cfg.dtlb_entries),
-            _ => snap.dtlb.clone(),
-        };
-        let l1 = match mutation {
-            ForkMutation::SkipL1 => SetAssocCache::new(cfg.l1.clone()),
-            _ => snap.l1.clone(),
-        };
-        System {
-            dtlb,
-            l1,
-            l2: snap.l2.clone(),
-            l3: snap.l3.clone(),
-            dram: snap.dram.clone(),
-            mrb: Mrb::new(cfg.mrb_entries),
-            core_pf: build_core_pf(cfg),
-            mpp: build_mpp(cfg, bundle),
-            cfg: cfg.clone(),
-            bundle,
-            page_table: snap.page_table.clone(),
-            promote_budget: demand_promotion_budget(cfg),
-            stats: snap.stats,
-            pf_buf: Vec::with_capacity(64),
-            mpp_buf: Vec::with_capacity(64),
-            mshr: snap.mshr.clone(),
-            adaptive: build_adaptive(cfg),
-            obs: cfg.obs.map(|c| Box::new(ObsRecorder::new(c))),
-            warmup_boundary: snap.warmup_boundary,
-            pf_enabled: false,
+        let mut warm = warm.clone();
+        match mutation {
+            ForkMutation::None => {}
+            ForkMutation::SkipDtlb => warm.dtlb = Tlb::new(cfg.dtlb_entries),
+            ForkMutation::SkipL1 => warm.l1 = SetAssocCache::new(cfg.l1.clone()),
         }
+        Self::with_warm(cfg.clone(), bundle, warm)
     }
 
     /// A cheap observable fingerprint of demand-path state, for the
@@ -252,8 +199,8 @@ impl<'a> System<'a> {
     pub fn probe(&self) -> SystemProbe {
         SystemProbe {
             dtlb_misses: self.stats.dtlb_misses,
-            l1_demand_hits: self.l1.stats().demand_hits.total(),
-            dram_demand_accesses: self.dram.stats().demand_accesses,
+            l1_demand_hits: self.warm.l1.stats().demand_hits.total(),
+            dram_demand_accesses: self.warm.dram.stats().demand_accesses,
         }
     }
 
@@ -264,25 +211,26 @@ impl<'a> System<'a> {
 
     /// The L1 cache (for inspection in tests).
     pub fn l1(&self) -> &SetAssocCache {
-        &self.l1
+        &self.warm.l1
     }
 
     /// The L2 cache, if configured.
     pub fn l2(&self) -> Option<&SetAssocCache> {
-        self.l2.as_ref()
+        self.warm.l2.as_ref()
     }
 
     /// The shared L3.
     pub fn l3(&self) -> &SetAssocCache {
-        &self.l3
+        &self.warm.l3
     }
 
     /// The DRAM model.
     pub fn dram(&self) -> &Dram {
-        &self.dram
+        &self.warm.dram
     }
 
-    /// The MPP, when the configuration has one.
+    /// The MPP, when the configuration has one; `None` before the
+    /// measurement window opens, since warm-up is demand-only.
     pub fn mpp(&self) -> Option<&Mpp> {
         self.mpp.as_ref()
     }
@@ -296,7 +244,7 @@ impl<'a> System<'a> {
     /// Fills `pline` into the L3, maintaining inclusion (back-invalidating
     /// L1/L2 copies of the victim) and writing back dirty victims.
     fn fill_l3(&mut self, pline: u64, info: FillInfo, now: Cycle) {
-        if let Some(victim) = self.l3.fill(pline, info) {
+        if let Some(victim) = self.warm.l3.fill(pline, info) {
             // A tracked prefetched line leaving the chip without a demand
             // use is a wasted (inaccurate) prefetch. The tag rides on the
             // evicted line itself (no side table to consult).
@@ -304,17 +252,17 @@ impl<'a> System<'a> {
                 self.stats.prefetch_wasted.bump(dt);
             }
             let mut dirty = victim.dirty;
-            if let Some(l2) = self.l2.as_mut() {
+            if let Some(l2) = self.warm.l2.as_mut() {
                 if let Some(v2) = l2.invalidate(victim.line) {
                     dirty |= v2.dirty;
                 }
             }
-            if let Some(v1) = self.l1.invalidate(victim.line) {
+            if let Some(v1) = self.warm.l1.invalidate(victim.line) {
                 dirty |= v1.dirty;
             }
             if dirty {
                 self.stats.writebacks += 1;
-                self.dram.request(victim.line, now, false);
+                self.warm.dram.request(victim.line, now, false);
             }
         }
     }
@@ -334,7 +282,7 @@ impl<'a> System<'a> {
                 .bundle
                 .space
                 .region_of(vaddr)
-                .and_then(|region| Some((region.dtype(), self.page_table.lookup(vaddr)?)));
+                .and_then(|region| Some((region.dtype(), self.warm.page_table.lookup(vaddr)?)));
             let Some((dtype, entry)) = translated else {
                 self.stats.prefetch_unmapped_drops += 1;
                 continue;
@@ -344,9 +292,9 @@ impl<'a> System<'a> {
 
             // Redundant if already resident at the fill destination.
             let resident = if mono {
-                self.l1.contains(pline)
+                self.warm.l1.contains(pline)
             } else {
-                self.l2.as_ref().is_some_and(|l2| l2.contains(pline))
+                self.warm.l2.as_ref().is_some_and(|l2| l2.contains(pline))
             };
             if resident {
                 self.stats.prefetch_redundant += 1;
@@ -387,20 +335,21 @@ impl<'a> System<'a> {
         at: Cycle,
         l3_tag: Cycle,
     ) -> Option<Cycle> {
-        let (ready, fetched) = if self.l3.mark_tracked(pline, dtype) {
+        let (ready, fetched) = if self.warm.l3.mark_tracked(pline, dtype) {
             (at + l3_tag + self.cfg.l3.data_latency, None)
         } else {
-            let complete_at = self.dram.request(pline, at + l3_tag, true).complete_at;
+            let complete_at = self.warm.dram.request(pline, at + l3_tag, true).complete_at;
             self.fill_l3(pline, FillInfo::prefetch(dtype, complete_at).tracked(), at);
             (complete_at, Some(complete_at))
         };
-        if let Some(l2) = self.l2.as_mut() {
+        if let Some(l2) = self.warm.l2.as_mut() {
             l2.fill(pline, FillInfo::prefetch(dtype, ready));
         }
         if self.cfg.prefetcher.monolithic_l1() {
             // The L1 copy carries the accuracy bit that gates the demand
             // hit path's L3 tag probe.
-            self.l1
+            self.warm
+                .l1
                 .fill(pline, FillInfo::prefetch(dtype, ready).tracked());
         }
         fetched
@@ -442,7 +391,7 @@ impl<'a> System<'a> {
                 entry.vline,
                 entry.core,
                 &self.bundle.funcmem,
-                &self.page_table,
+                &self.warm.page_table,
                 trigger_at,
                 &mut self.mpp_buf,
             );
@@ -461,9 +410,9 @@ impl<'a> System<'a> {
             }
             let pl = cand.pline;
             let in_dest = if mono {
-                self.l1.contains(pl)
+                self.warm.l1.contains(pl)
             } else {
-                self.l2.as_ref().is_some_and(|l2| l2.contains(pl)) || self.l1.contains(pl)
+                self.warm.l2.as_ref().is_some_and(|l2| l2.contains(pl)) || self.warm.l1.contains(pl)
             };
             if in_dest {
                 self.stats.mpp_redundant += 1;
@@ -482,11 +431,9 @@ impl<'a> System<'a> {
     }
 
     /// Adaptive DROPLET: account one demand miss and run the epoch logic.
-    /// Inert during warm-up (probing epochs count measured misses only).
+    /// The controller is built at the warm-up boundary, so probing epochs
+    /// count measured misses only.
     fn adaptive_observe_miss(&mut self, latency: Cycle) {
-        if !self.pf_enabled {
-            return;
-        }
         let Some(mut st) = self.adaptive else {
             return;
         };
@@ -518,50 +465,9 @@ impl<'a> System<'a> {
     }
 
     fn feed_prefetcher(&mut self, ev: AccessEvent) {
-        // Demand-only warm-up: engines observe nothing before the boundary,
-        // so the warmed state (and hence a fork snapshot) is independent of
-        // the prefetcher configuration.
-        if !self.pf_enabled {
-            return;
-        }
         if let Some(pf) = self.core_pf.as_mut() {
             pf.on_access(&ev, &mut self.pf_buf);
         }
-    }
-}
-
-/// An owned (`'static`) capture of everything in a [`System`] that evolved
-/// during warm-up: page table, DTLB (its hit memo included), all cache
-/// tags+stamps+meta, DRAM and MSHR state, and statistics. `System` keeps no
-/// translation memo of its own. Taken with [`System::snapshot`] at the
-/// warm-up boundary; any configuration sharing the parent's
-/// [`SystemConfig::warmup_key`] can fork from it
-/// ([`crate::fork::WarmupSnapshot::resume`]).
-///
-/// Deliberately *not* captured: the prefetch engine, MPP and adaptive
-/// controller (warm-up never feeds them, so a fork builds them fresh), the
-/// MRB (only prefetch paths fill it, so it is provably empty at the
-/// boundary and is rebuilt at the fork's capacity), the sampler
-/// (measurement-only; `warmup_done` re-anchors it), and the transient
-/// prefetch/candidate buffers (always empty between accesses).
-#[derive(Clone)]
-pub struct SystemSnapshot {
-    cfg: SystemConfig,
-    page_table: PageTable,
-    dtlb: Tlb,
-    l1: SetAssocCache,
-    l2: Option<SetAssocCache>,
-    l3: SetAssocCache,
-    dram: Dram,
-    mshr: MshrFile,
-    stats: SystemStats,
-    warmup_boundary: Cycle,
-}
-
-impl SystemSnapshot {
-    /// The parent's simulated-machine hash (for `forked_from` manifests).
-    pub fn parent_config_hash(&self) -> u64 {
-        config_hash(&self.cfg)
     }
 }
 
@@ -667,30 +573,24 @@ impl MemorySystem for System<'_> {
     }
 
     fn warmup_done(&mut self, now: Cycle) {
-        self.l1.reset_stats();
-        if let Some(l2) = self.l2.as_mut() {
+        self.warm.l1.reset_stats();
+        if let Some(l2) = self.warm.l2.as_mut() {
             l2.reset_stats();
         }
-        self.l3.reset_stats();
-        self.dram.reset_stats();
-        if let Some(mpp) = self.mpp.as_mut() {
-            mpp.reset_stats();
-        }
-        let locked = self.stats.adaptive_locked_data_aware;
+        self.warm.l3.reset_stats();
+        self.warm.dram.reset_stats();
         self.stats = SystemStats::default();
-        self.stats.adaptive_locked_data_aware = locked;
-        // In-flight prefetch tracking persists across the warm-up boundary:
-        // lines prefetched late in warm-up and used in the window count.
-
         // `now` is the retire clock at the boundary — the same clock
         // `CoreResult::cycles` is measured on — recorded so utilization
         // windows line up with the core's measurement window.
         self.warmup_boundary = now;
-        // Warm-up is demand-only; the prefetch machinery goes live here.
-        self.pf_enabled = true;
+        // Warm-up is demand-only: the prefetch machinery is built here,
+        // pristine, on every path (scratch and forked alike).
+        self.core_pf = build_core_pf(&self.cfg);
+        self.mpp = build_mpp(&self.cfg, self.bundle);
+        self.adaptive = build_adaptive(&self.cfg);
         if self.obs.is_some() {
-            // Anchor the sampler at the just-reset statistics; the MRB's
-            // lifetime counters are the only non-zero baseline values.
+            // Anchor the sampler at the just-reset statistics.
             let baseline = self.obs_snapshot(now);
             if let Some(obs) = self.obs.as_mut() {
                 obs.reset(baseline);
@@ -712,9 +612,10 @@ impl System<'_> {
         // Address translation through the DTLB, lazily: the page table is
         // walked only on a DTLB miss.
         let mut t0 = now;
-        let page_table = &mut self.page_table;
+        let page_table = &mut self.warm.page_table;
         let space = &self.bundle.space;
         let (entry, hit) = self
+            .warm
             .dtlb
             .access_entry(vaddr.page_number(), || page_table.translate(vaddr, space).1);
         if !hit {
@@ -728,7 +629,7 @@ impl System<'_> {
         let promote = self.promote_budget;
 
         // --- L1 ---
-        if let Some(hit) = self.l1.touch(pl, t0, dtype, is_store) {
+        if let Some(hit) = self.warm.l1.touch(pl, t0, dtype, is_store) {
             let complete = (hit.ready_at.max(t0) + self.cfg.l1.data_latency).min(t0 + promote);
             if mono {
                 // Only the monolithic-L1 variants fill prefetches into the
@@ -737,8 +638,8 @@ impl System<'_> {
                 // (set by the same fills that tag the L3), so the common
                 // case stays inside the set the touch above just warmed and
                 // the cold L3 tag probe runs only when the bit is present.
-                if self.l1.take_tracked(pl).is_some() {
-                    if let Some(dt) = self.l3.take_tracked(pl) {
+                if self.warm.l1.take_tracked(pl).is_some() {
+                    if let Some(dt) = self.warm.l3.take_tracked(pl) {
                         self.stats.prefetch_useful.bump(dt);
                     }
                 }
@@ -790,7 +691,7 @@ impl System<'_> {
         // first touch always lands here on the L1-miss path (hits skip the
         // probe entirely); the monolithic case still needs it for lines
         // whose L1 copy was evicted while the L3 tag stayed alive.
-        if let Some(dt) = self.l3.take_tracked(pl) {
+        if let Some(dt) = self.warm.l3.take_tracked(pl) {
             self.stats.prefetch_useful.bump(dt);
         }
 
@@ -805,7 +706,7 @@ impl System<'_> {
 
         // Allocate an MSHR: at most `mshrs` demand misses may be in
         // flight; a full file stalls the new miss until a slot frees.
-        let free_at = self.mshr.earliest_free();
+        let free_at = self.warm.mshr.earliest_free();
         if free_at > t0 {
             t0 = free_at;
         }
@@ -814,7 +715,7 @@ impl System<'_> {
         let (response, fill_ready) = 'path: {
             // --- L2 --- (absent in the Fig. 4b leftmost bar)
             let mut t2 = t1;
-            if let Some(l2) = self.l2.as_mut() {
+            if let Some(l2) = self.warm.l2.as_mut() {
                 let (l2_tag, l2_data) = (l2.config().tag_latency, l2.config().data_latency);
                 if let Some(hit) = l2.touch(pl, t1, dtype, is_store) {
                     let complete = (hit.ready_at.max(t1) + l2_data).min(t1 + promote);
@@ -831,7 +732,7 @@ impl System<'_> {
                         });
                     }
                     let f = FillInfo::demand(dtype, complete);
-                    self.l1.fill(pl, if is_store { f.dirty() } else { f });
+                    self.warm.l1.fill(pl, if is_store { f.dirty() } else { f });
                     break 'path (
                         AccessResponse {
                             complete_at: complete,
@@ -843,7 +744,7 @@ impl System<'_> {
                 t2 = t1 + l2_tag;
             }
             // --- L3 ---
-            if let Some(hit) = self.l3.touch(pl, t2, dtype, is_store) {
+            if let Some(hit) = self.warm.l3.touch(pl, t2, dtype, is_store) {
                 let complete = (hit.ready_at.max(t2) + self.cfg.l3.data_latency).min(t2 + promote);
                 break 'path (
                     AccessResponse {
@@ -853,7 +754,10 @@ impl System<'_> {
                     Some(complete),
                 );
             }
-            let resp = self.dram.request(pl, t2 + self.cfg.l3.tag_latency, false);
+            let resp = self
+                .warm
+                .dram
+                .request(pl, t2 + self.cfg.l3.tag_latency, false);
             (
                 AccessResponse {
                     complete_at: resp.complete_at,
@@ -863,7 +767,7 @@ impl System<'_> {
             )
         };
 
-        self.mshr.allocate(response.complete_at);
+        self.warm.mshr.allocate(response.complete_at);
         self.adaptive_observe_miss(response.complete_at.saturating_sub(now));
 
         // Demand fills on the refill path (inclusive hierarchy).
@@ -871,11 +775,11 @@ impl System<'_> {
             if response.level == ServiceLevel::Dram {
                 self.fill_l3(pl, FillInfo::demand(dtype, ready), now);
             }
-            if let Some(l2) = self.l2.as_mut() {
+            if let Some(l2) = self.warm.l2.as_mut() {
                 l2.fill(pl, FillInfo::demand(dtype, ready));
             }
             let f = FillInfo::demand(dtype, ready);
-            self.l1.fill(pl, if is_store { f.dirty() } else { f });
+            self.warm.l1.fill(pl, if is_store { f.dirty() } else { f });
         }
 
         self.process_prefetch_requests(now);
@@ -904,10 +808,10 @@ impl System<'_> {
             ops: 0,
             instructions: 0,
             cycle,
-            l1: *self.l1.stats(),
-            l2: self.l2.as_ref().map(|c| *c.stats()),
-            l3: *self.l3.stats(),
-            dram: *self.dram.stats(),
+            l1: *self.warm.l1.stats(),
+            l2: self.warm.l2.as_ref().map(|c| *c.stats()),
+            l3: *self.warm.l3.stats(),
+            dram: *self.warm.dram.stats(),
             mrb_len: self.mrb.len() as u64,
             mrb_inserted,
             mrb_overflowed,
@@ -1149,8 +1053,7 @@ pub fn run_workload_with_stream(
     if let Some(stream) = stream {
         system.attach_obs_stream(stream);
     }
-    let applied = (warmup_ops as u64).min(total / 2);
-    feed_warmup(&mut engine, source, &mut system, applied);
+    let applied = feed_warmup(&mut engine, source, &mut system, warmup_ops);
     let core_result = feed_measure(&mut engine, source, &mut system, applied, total);
     assemble_result(
         system,
@@ -1166,13 +1069,16 @@ pub fn run_workload_with_stream(
     )
 }
 
-/// Streams `[0, until)` from `source` into the engine's warm-up span.
+/// Streams the warm-up span of `source` into the engine: `warmup_ops`,
+/// clamped so the measurement window still covers at least half of the
+/// trace. Returns the warm-up ops applied.
 pub(crate) fn feed_warmup(
     engine: &mut CoreEngine,
     source: &mut dyn TraceSource,
     system: &mut System<'_>,
-    until: u64,
-) {
+    warmup_ops: usize,
+) -> u64 {
+    let until = (warmup_ops as u64).min(source.op_count() / 2);
     let mut pos = 0u64;
     while pos < until {
         let want = usize::try_from(until - pos).unwrap_or(usize::MAX);
@@ -1183,6 +1089,7 @@ pub(crate) fn feed_warmup(
         engine.warmup(run, system);
         pos += run.len() as u64;
     }
+    until
 }
 
 /// Opens the measurement window and streams `[from, total)` through it.
@@ -1268,10 +1175,10 @@ pub(crate) fn assemble_result(
     };
     RunResult {
         core: core_result,
-        l1: *system.l1.stats(),
-        l2: system.l2.as_ref().map(|c| *c.stats()),
-        l3: *system.l3.stats(),
-        dram: *system.dram.stats(),
+        l1: *system.warm.l1.stats(),
+        l2: system.warm.l2.as_ref().map(|c| *c.stats()),
+        l3: *system.warm.l3.stats(),
+        dram: *system.warm.dram.stats(),
         mpp: system.mpp.as_ref().map(|m| *m.stats()),
         sys: system.stats,
         prefetch_home_is_l1,
@@ -1427,6 +1334,18 @@ mod tests {
             base.bpki()
         );
         assert!(drop.dram.prefetch_accesses > 0);
+    }
+
+    #[test]
+    fn prefetch_machinery_is_built_when_the_window_opens() {
+        let b = bundle(Algorithm::Pr);
+        let cfg = SystemConfig::test_scale().with_prefetcher(PrefetcherKind::Droplet);
+        let mut engine = CoreEngine::new(cfg.core);
+        let mut system = System::new(cfg, &b);
+        engine.warmup(&b.ops[..1_000], &mut system);
+        assert!(system.mpp().is_none(), "warm-up is demand-only");
+        engine.open_window(&mut system);
+        assert!(system.mpp().is_some() && system.core_pf.is_some());
     }
 
     #[test]

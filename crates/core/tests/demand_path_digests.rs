@@ -397,7 +397,9 @@ fn obs_sampling_is_digest_invariant_and_exact() {
 /// warmed snapshot fanned out across every `sim_replay` configuration (the
 /// seven evaluated kinds, which all share the baseline hierarchy and hence
 /// one warmup key) digests bit-identically to seven from-scratch runs —
-/// over *every* reported counter, not a summary statistic.
+/// over *every* reported counter, not a summary statistic. The same
+/// snapshot then serves configurations that each vary one fork-safe field
+/// besides the prefetcher kind.
 #[test]
 fn forked_runs_digest_identically_to_full_replay() {
     use droplet::warm_snapshot;
@@ -409,6 +411,7 @@ fn forked_runs_digest_identically_to_full_replay() {
     let snap = warm_snapshot(&bundle, &base, warmup);
     // The adaptive kind rides along in `KINDS`, widening coverage past the
     // seven replayed configurations at no cost.
+    let mut plain = std::collections::HashMap::new();
     for &kind in &KINDS {
         let cfg = base.with_prefetcher(kind);
         let forked = droplet::run_forked(&bundle, &snap, &cfg);
@@ -418,6 +421,66 @@ fn forked_runs_digest_identically_to_full_replay() {
             digest(&scratch),
             "{}: forked digest diverged from full replay",
             kind.name()
+        );
+        plain.insert(kind, digest(&scratch));
+    }
+
+    // Each fork-safe field, varied under a kind that reads it: the fork
+    // must build it from its own configuration, not the parent's. Every
+    // variation but `obs` (measurement-only) moves the digest, so none of
+    // them passes by changing nothing.
+    type Edit = fn(&mut SystemConfig);
+    let variants: [(PrefetcherKind, &str, Edit); 10] = [
+        (PrefetcherKind::Droplet, "mrb_entries", |c| {
+            c.mrb_entries = 8
+        }),
+        (PrefetcherKind::Stream, "stream.distance", |c| {
+            c.stream.distance = 16
+        }),
+        (PrefetcherKind::Stream, "stream.degree", |c| {
+            c.stream.degree = 4
+        }),
+        (PrefetcherKind::Stream, "stream.trackers", |c| {
+            c.stream.trackers = 16
+        }),
+        (PrefetcherKind::Ghb, "ghb", |c| c.ghb.degree = 2),
+        (PrefetcherKind::Vldp, "vldp", |c| c.vldp.degree = 4),
+        (PrefetcherKind::Droplet, "mpp.vab_entries", |c| {
+            c.mpp.vab_entries = 4
+        }),
+        (PrefetcherKind::Droplet, "mpp.pab_entries", |c| {
+            c.mpp.pab_entries = 4
+        }),
+        (
+            PrefetcherKind::AdaptiveDroplet,
+            "adaptive_epoch_misses",
+            |c| c.adaptive_epoch_misses = 1_000,
+        ),
+        (PrefetcherKind::Droplet, "obs", |c| {
+            c.obs = Some(ObsConfig::every(5_000))
+        }),
+    ];
+    for (kind, field, edit) in variants {
+        let mut cfg = base.with_prefetcher(kind);
+        edit(&mut cfg);
+        assert_eq!(cfg.warmup_key(), base.warmup_key(), "{field} is fork-safe");
+        let forked = droplet::run_forked(&bundle, &snap, &cfg);
+        let scratch = run_workload(&bundle, &cfg, warmup);
+        assert_eq!(
+            digest(&forked),
+            digest(&scratch),
+            "{field}: forked digest diverged"
+        );
+        let jsonl = |r: &RunResult| r.journal.as_ref().map(|j| j.to_jsonl());
+        assert_eq!(
+            jsonl(&forked),
+            jsonl(&scratch),
+            "{field}: forked journal diverged"
+        );
+        assert_eq!(
+            digest(&scratch) == plain[&kind],
+            field == "obs",
+            "{field}: the variation must move every digest but obs's"
         );
     }
 }

@@ -32,7 +32,8 @@ pub enum Dataset {
 /// How large to build a dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetScale {
-    /// ~1 K vertices; for unit and integration tests.
+    /// 4–8 K vertices (road is a 90 × 90 grid); for unit and integration
+    /// tests.
     Tiny,
     /// ~32 K vertices; for examples and quick experiments.
     Small,

@@ -222,7 +222,17 @@ fn spec_rejection_matches_cli_diagnostics() {
     .unwrap();
     assert_eq!(status, 400);
     assert_eq!(field(&body, "field"), "prefetcher");
-    assert_eq!(server.state().stats.rejects.load(Ordering::Relaxed), 6);
+    // A sweep may name each configuration once.
+    let (status, _, body) = request(
+        &addr,
+        "POST",
+        "/sweep",
+        r#"{"algo": "bfs", "dataset": "kron", "scale": "tiny", "prefetchers": ["none", "none"]}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400);
+    assert_eq!(field(&body, "field"), "prefetchers");
+    assert_eq!(server.state().stats.rejects.load(Ordering::Relaxed), 7);
     assert_eq!(server.state().stats.engine_runs.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
